@@ -234,30 +234,14 @@ class RunConfig:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict[str, dict[str, str]]:
+    # A flag overrides the config key its dest names; keys are unique
+    # across sections.
     ov: dict[str, dict[str, str]] = {s: {} for s in DEFAULTS}
-    mapping = {
-        "d_model": ("model", "d_model"),
-        "heads": ("model", "heads"),
-        "experts": ("model", "experts"),
-        "dropout": ("model", "dropout"),
-        "disable": ("model", "disable"),
-        "window": ("data", "window"),
-        "step": ("data", "step"),
-        "epochs": ("train", "epochs"),
-        "batch_size": ("train", "batch_size"),
-        "lr": ("train", "lr"),
-        "strategy": ("train", "strategy"),
-        "lam": ("loss", "lam"),
-        "classes": ("synthetic", "classes"),
-        "sessions": ("synthetic", "sessions"),
-        "session_len": ("synthetic", "session_len"),
-        "context": ("synthetic", "context"),
-        "noise": ("synthetic", "noise"),
-    }
-    for attr, (section, key) in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            ov[section][key] = str(value)
+    for section, keys in DEFAULTS.items():
+        for key in keys:
+            value = getattr(args, key, None)
+            if value is not None:
+                ov[section][key] = str(value)
     for item in getattr(args, "set", None) or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"--set expects section.key=value, got '{item}'")
@@ -310,8 +294,15 @@ def _write_normalizer(stats: NormStats, out_dir: Path) -> None:
 def _read_normalizer(path: Path) -> NormStats:
     if not path.is_file():
         raise DataError(f"normalizer stats not found: {path}")
-    obj = json.loads(path.read_text())
-    return NormStats(mean=np.array(obj["mean"], dtype=np.float64), std=np.array(obj["std"], dtype=np.float64))
+    try:
+        obj = json.loads(path.read_text())
+        mean = np.array(obj["mean"], dtype=np.float64)
+        std = np.array(obj["std"], dtype=np.float64)
+        if mean.ndim != 1 or mean.shape != std.shape:
+            raise ValueError(f"mean {mean.shape} and std {std.shape} are not equal-length lists")
+    except (ValueError, KeyError, TypeError) as e:
+        raise DataError(f"malformed normalizer stats {path}: {e!r}") from None
+    return NormStats(mean=mean, std=std)
 
 
 def cmd_datagen(args: argparse.Namespace) -> int:

@@ -100,9 +100,12 @@ def load_recordings(path: str | Path) -> list[Recording]:
     manifest = root / "manifest.json"
     if manifest.is_file():
         try:
-            sample_rate = float(json.loads(manifest.read_text()).get("sample_rate", 1.0))
-        except (ValueError, json.JSONDecodeError):
-            pass
+            obj = json.loads(manifest.read_text())
+            if not isinstance(obj, dict):
+                raise ValueError("top level is not an object")
+            sample_rate = float(obj.get("sample_rate", 1.0))
+        except (ValueError, TypeError) as e:
+            raise DataError(f"malformed manifest {manifest}: {e}") from None
 
     recordings = []
     for f in files:
@@ -167,15 +170,6 @@ def apply_normalizer(recording: Recording, stats: NormStats) -> Recording:
     return Recording(
         session_id=recording.session_id,
         samples=(recording.samples - stats.mean) / stats.std,
-        labels=recording.labels.copy(),
-        sample_rate=recording.sample_rate,
-    )
-
-
-def denormalize(recording: Recording, stats: NormStats) -> Recording:
-    return Recording(
-        session_id=recording.session_id,
-        samples=recording.samples * stats.std + stats.mean,
         labels=recording.labels.copy(),
         sample_rate=recording.sample_rate,
     )
@@ -372,10 +366,6 @@ def _signature_params(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
     return amp, freq, offset
 
 
-def _activity_chain(cfg: SynthConfig, rng: np.random.Generator, start: int) -> "_ChainIter":
-    return _ChainIter(cfg, rng, start)
-
-
 class _ChainIter:
     """Hidden activity sequence.
 
@@ -416,7 +406,7 @@ def generate_synthetic(cfg: SynthConfig) -> list[Recording]:
     recordings = []
     for s in range(cfg.sessions):
         rng = np.random.default_rng(mix64(cfg.seed, TAG_SYNTH, s + 1))
-        chain = _activity_chain(cfg, rng, start=s)
+        chain = _ChainIter(cfg, rng, start=s)
         samples = np.empty((cfg.session_len, cfg.channels))
         labels = np.empty(cfg.session_len, dtype=np.int64)
         pos = 0

@@ -12,6 +12,13 @@ Pipeline per batch of B frames, each frame a (T, D_in) window:
     -> mixture-of-experts feed-forward
     -> linear classifier head
 
+Heads and experts are slices of stacked parameters, not separate ones: each
+attention stage keeps its query/key/value projections in one (d, 3d)
+matrix (``inter.wqkv``, ``mh.wqkv``), and the E experts live in
+(E, d, d) weights and (E, 1, d) biases (``moe.w1``/``b1``/``w2``/``b2``).
+Across-frame and multi-head attention share one batched implementation,
+``self_attention``; the across-frame stage is its one-head case.
+
 Stages can be switched off via ``ModelConfig.disabled``; a disabled stage
 passes the appropriate operand through unchanged, which is how the ablation
 baselines are configured:
@@ -89,8 +96,10 @@ class ModelConfig:
 class ForwardTrace:
     """Every intermediate of one forward pass, for inspection and tests.
 
-    Attention weight fields hold the softmax outputs (rows sum to 1);
-    disabled stages leave their fields as None.
+    Attention weight fields hold the softmax outputs (rows sum to 1):
+    ``intra_weights`` is (B, T), ``inter_weights`` (B, B), ``head_weights``
+    (heads, B, B) and ``moe_weights`` (B, E).  Disabled stages leave their
+    fields as None.
     """
 
     x_bar: Tensor
@@ -102,7 +111,7 @@ class ForwardTrace:
     a_com: Tensor
     x_att: Tensor
     a_mul: Tensor
-    head_weights: list[Tensor]
+    head_weights: Tensor
     gate: Tensor | None
     o_gated: Tensor
     o_moe: Tensor
@@ -163,14 +172,26 @@ def intra_attention(feats: Tensor, params: dict) -> tuple[Tensor, Tensor]:
     return pooled, weights
 
 
-def inter_attention(x: Tensor, params: dict, d_model: int) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product attention across the frames of the batch."""
-    q = x @ params["inter.wq"]
-    k = x @ params["inter.wk"]
-    v = x @ params["inter.wv"]
-    scores = (q @ k.transpose()) * (1.0 / math.sqrt(d_model))
-    weights = T.softmax(scores, axis=1)
-    return weights @ v, weights
+def self_attention(x: Tensor, wqkv: Tensor, heads: int) -> tuple[Tensor, Tensor]:
+    """Scaled dot-product attention among the rows of x (B, d), all heads in
+    one batched matmul: head i reads columns i*d_head:(i+1)*d_head of each of
+    the query, key and value blocks of ``wqkv`` (d, 3d).  Returns the head
+    outputs side by side (B, d) and the (heads, B, B) weights."""
+    batch, d = x.shape
+    d_head = d // heads
+    qkv = (x @ wqkv).reshape(batch, 3, heads, d_head).transpose((1, 2, 0, 3))
+    q, k, v = qkv[0], qkv[1], qkv[2]
+    scores = (q @ k.transpose((0, 2, 1))) * (1.0 / math.sqrt(d_head))
+    weights = T.softmax(scores, axis=2)
+    out = (weights @ v).transpose((1, 0, 2)).reshape(batch, d)
+    return out, weights
+
+
+def inter_attention(x: Tensor, params: dict) -> tuple[Tensor, Tensor]:
+    """Single-head scaled dot-product attention across the frames of the
+    batch; returns the (B, d) summaries and the (B, B) weights."""
+    out, weights = self_attention(x, params["inter.wqkv"], 1)
+    return out, weights[0]
 
 
 def combine_attention(a_inter: Tensor, a_intra: Tensor, alpha: Tensor) -> Tensor:
@@ -184,21 +205,12 @@ def fuse_features(x_bar: Tensor, a_com: Tensor, params: dict) -> Tensor:
     return T.concat([x_bar, a_com], axis=1) @ params["cat.w"]
 
 
-def multi_head_attention(x: Tensor, params: dict, cfg: ModelConfig) -> tuple[Tensor, list[Tensor]]:
+def multi_head_attention(x: Tensor, params: dict, cfg: ModelConfig) -> tuple[Tensor, Tensor]:
     """h parallel scaled dot-product attentions over the batch, concatenated
-    and output-projected."""
-    d_head = cfg.d_model // cfg.heads
-    scale = 1.0 / math.sqrt(d_head)
-    outputs = []
-    weights = []
-    for i in range(cfg.heads):
-        q = x @ params[f"mh.h{i}.wq"]
-        k = x @ params[f"mh.h{i}.wk"]
-        v = x @ params[f"mh.h{i}.wv"]
-        att = T.softmax((q @ k.transpose()) * scale, axis=1)
-        outputs.append(att @ v)
-        weights.append(att)
-    return T.concat(outputs, axis=1) @ params["mh.wo"], weights
+    and output-projected; returns the (B, d) output and the (h, B, B)
+    weights."""
+    out, weights = self_attention(x, params["mh.wqkv"], cfg.heads)
+    return out @ params["mh.wo"], weights
 
 
 def gate_values(x_att: Tensor, params: dict) -> Tensor:
@@ -209,16 +221,15 @@ def apply_gate(gate: Tensor, a_mul: Tensor, x_enhanced: Tensor) -> Tensor:
     return gate * a_mul + (1.0 - gate) * x_enhanced
 
 
-def moe_layer(x: Tensor, params: dict, cfg: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Softmax-weighted mixture of two-layer feed-forward experts."""
+def moe_layer(x: Tensor, params: dict) -> tuple[Tensor, Tensor]:
+    """Softmax-weighted mixture of the E stacked two-layer feed-forward
+    experts, each layer one broadcast matmul over the expert axis; returns
+    the (B, d) mixture and the (B, E) weights."""
     weights = T.softmax(x @ params["moe.gate.w"], axis=1)
-    mixed = None
-    for i in range(cfg.experts):
-        hidden = T.relu(x @ params[f"moe.expert{i}.w1"] + params[f"moe.expert{i}.b1"])
-        expert = hidden @ params[f"moe.expert{i}.w2"] + params[f"moe.expert{i}.b2"]
-        contrib = weights[:, i : i + 1] * expert
-        mixed = contrib if mixed is None else mixed + contrib
-    return mixed, weights
+    hidden = T.relu(x @ params["moe.w1"] + params["moe.b1"])
+    experts = hidden @ params["moe.w2"] + params["moe.b2"]
+    per_expert = weights.transpose().reshape(*experts.shape[:2], 1)
+    return T.tsum(per_expert * experts, axis=0), weights
 
 
 class AttentionModel:
@@ -242,6 +253,14 @@ class AttentionModel:
         bound = math.sqrt(6.0 / fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
+    def _qkv(self, rng: np.random.Generator, heads: int) -> np.ndarray:
+        """(d, 3d) query/key/value projection in the layout ``self_attention``
+        reads.  Drawn head by head, each head's q, k and v (d, d_head) in
+        turn, as (heads, 3, d, d_head)."""
+        d = self.cfg.d_model
+        w = self._matrix(rng, (heads, 3, d, d // heads), d)
+        return w.transpose(2, 1, 0, 3).reshape(d, 3 * d)
+
     def _init_params(self, rng: np.random.Generator) -> None:
         cfg = self.cfg
         d = cfg.d_model
@@ -259,23 +278,20 @@ class AttentionModel:
         self._add("intra.b1", np.zeros((1, h_a)), decay=False)
         self._add("intra.w2", self._matrix(rng, (h_a, 1), h_a), decay=True)
         self._add("intra.b2", np.zeros((1, 1)), decay=False)
-        for name in ("wq", "wk", "wv"):
-            self._add(f"inter.{name}", self._matrix(rng, (d, d), d), decay=True)
+        self._add("inter.wqkv", self._qkv(rng, 1), decay=True)
         self._add("blend.alpha", np.zeros((1, 1)), decay=False)
         self._add("cat.w", self._matrix(rng, (2 * d, d), 2 * d), decay=True)
-        d_head = d // cfg.heads
-        for i in range(cfg.heads):
-            for name in ("wq", "wk", "wv"):
-                self._add(f"mh.h{i}.{name}", self._matrix(rng, (d, d_head), d), decay=True)
+        self._add("mh.wqkv", self._qkv(rng, cfg.heads), decay=True)
         self._add("mh.wo", self._matrix(rng, (d, d), d), decay=True)
         self._add("gate.wg", self._matrix(rng, (d, d), d), decay=True)
         self._add("gate.bg", np.zeros((1, d)), decay=False)
         self._add("moe.gate.w", self._matrix(rng, (d, cfg.experts), d), decay=True)
-        for i in range(cfg.experts):
-            self._add(f"moe.expert{i}.w1", self._matrix(rng, (d, d), d), decay=True)
-            self._add(f"moe.expert{i}.b1", np.zeros((1, d)), decay=False)
-            self._add(f"moe.expert{i}.w2", self._matrix(rng, (d, d), d), decay=True)
-            self._add(f"moe.expert{i}.b2", np.zeros((1, d)), decay=False)
+        # Drawn expert by expert, w1 then w2, as (E, 2, d, d).
+        w = self._matrix(rng, (cfg.experts, 2, d, d), d)
+        self._add("moe.w1", w[:, 0].copy(), decay=True)
+        self._add("moe.b1", np.zeros((cfg.experts, 1, d)), decay=False)
+        self._add("moe.w2", w[:, 1].copy(), decay=True)
+        self._add("moe.b2", np.zeros((cfg.experts, 1, d)), decay=False)
         self._add("cls.w", self._matrix(rng, (d, cfg.classes), d), decay=True)
         self._add("cls.b", np.zeros((1, cfg.classes)), decay=False)
 
@@ -336,7 +352,7 @@ class AttentionModel:
             a_intra, intra_weights = intra_attention(feats, p)
         a_inter = inter_weights = None
         if cfg.enabled("inter"):
-            a_inter, inter_weights = inter_attention(x_pe, p, cfg.d_model)
+            a_inter, inter_weights = inter_attention(x_pe, p)
 
         if a_inter is not None and a_intra is not None:
             a_com = combine_attention(a_inter, a_intra, p["blend.alpha"])
@@ -359,7 +375,7 @@ class AttentionModel:
             o_gated = a_mul
 
         if cfg.enabled("moe"):
-            o_moe, moe_weights = moe_layer(o_gated, p, cfg)
+            o_moe, moe_weights = moe_layer(o_gated, p)
         else:
             o_moe, moe_weights = o_gated, None
         o_moe = T.dropout(o_moe, drop, training, rng)
@@ -440,28 +456,16 @@ def parameter_gradcheck_report(
 
     model.zero_grad()
     T.backward(loss_value())
-    analytic = {name: p.grad.copy() for name, p in model.params.items()}
 
     worst: dict[str, float] = {name: 0.0 for name, _ in GRADCHECK_BLOCKS}
     composed = 0.0
-    with T.no_grad():
-        for name, p in model.params.items():
-            flat = p.data.reshape(-1)
-            a_flat = analytic[name].reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                plus = loss_value().item()
-                flat[i] = orig - eps
-                minus = loss_value().item()
-                flat[i] = orig
-                numeric = (plus - minus) / (2.0 * eps)
-                err = abs(a_flat[i] - numeric) / max(1.0, abs(a_flat[i]), abs(numeric))
-                composed = max(composed, err)
-                for block, prefix in GRADCHECK_BLOCKS:
-                    if name.startswith(prefix):
-                        worst[block] = max(worst[block], err)
-                        break
+    for name, p in model.params.items():
+        err = T.gradient_error(lambda: loss_value().item(), p.data, p.grad, eps)
+        composed = max(composed, err)
+        for block, prefix in GRADCHECK_BLOCKS:
+            if name.startswith(prefix):
+                worst[block] = max(worst[block], err)
+                break
 
     rows = [(block, worst[block]) for block, _ in GRADCHECK_BLOCKS]
 

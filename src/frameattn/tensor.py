@@ -28,7 +28,6 @@ Array = np.ndarray
 LOG_FLOOR = 1e-12
 
 _grad_enabled = True
-_fault: dict = {"op": None, "scale": 1.0}
 
 
 @contextlib.contextmanager
@@ -41,16 +40,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def set_backward_fault(op: str | None, scale: float = 1.01) -> None:
-    """Test hook: scale the named op's input gradients by ``scale``.
-
-    Lets fault-injection tests confirm that gradient checking localizes a
-    corrupted backward rule.  Pass None to clear.
-    """
-    _fault["op"] = op
-    _fault["scale"] = scale
 
 
 class Tensor:
@@ -124,8 +113,8 @@ class Tensor:
     def reshape(self, *shape: int):
         return reshape(self, shape)
 
-    def transpose(self):
-        return transpose(self)
+    def transpose(self, axes: Sequence[int] | None = None):
+        return transpose(self, axes)
 
     def sum(self, axis: int | None = None, keepdims: bool = False):
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -157,9 +146,7 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
-def _acc(t: Tensor, g: Array, op: str) -> None:
-    if _fault["op"] == op:
-        g = g * _fault["scale"]
+def _acc(t: Tensor, g: Array) -> None:
     if g.shape != t.data.shape:
         g = _unbroadcast(g, t.data.shape)
     t.grad += g
@@ -175,9 +162,9 @@ def add(a, b) -> Tensor:
 
     def rule():
         if a.requires_grad:
-            _acc(a, out.grad, "add")
+            _acc(a, out.grad)
         if b.requires_grad:
-            _acc(b, out.grad, "add")
+            _acc(b, out.grad)
 
     out._rule = rule
     return out
@@ -189,7 +176,7 @@ def neg(a: Tensor) -> Tensor:
 
     def rule():
         if a.requires_grad:
-            _acc(a, -out.grad, "neg")
+            _acc(a, -out.grad)
 
     out._rule = rule
     return out
@@ -205,39 +192,50 @@ def mul(a, b) -> Tensor:
 
     def rule():
         if a.requires_grad:
-            _acc(a, b.data * out.grad, "mul")
+            _acc(a, b.data * out.grad)
         if b.requires_grad:
-            _acc(b, a.data * out.grad, "mul")
+            _acc(b, a.data * out.grad)
 
     out._rule = rule
     return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes of rank >= 2 operands, as
+    numpy.matmul: leading axes broadcast, so (B, d) @ (E, d, n) is (E, B, n)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    data = None
+    if a.ndim >= 2 and b.ndim >= 2:
+        with contextlib.suppress(ValueError):
+            data = a.data @ b.data
+    if data is None:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = _node(a.data @ b.data, (a, b), None)
+    out = _node(data, (a, b), None)
 
     def rule():
         if a.requires_grad:
-            _acc(a, out.grad @ b.data.T, "matmul")
+            _acc(a, out.grad @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            _acc(b, a.data.T @ out.grad, "matmul")
+            _acc(b, np.swapaxes(a.data, -1, -2) @ out.grad)
 
     out._rule = rule
     return out
 
 
-def transpose(a: Tensor) -> Tensor:
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute axes, as numpy.transpose: output axis i is input axis
+    ``axes[i]``; None reverses the axes."""
     a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose: expected rank 2, got shape {a.shape}")
-    out = _node(a.data.T.copy(), (a,), None)
+    try:
+        data = np.transpose(a.data, axes)
+    except ValueError as e:
+        raise ShapeError(f"transpose: axes {axes} do not fit shape {a.shape}") from e
+    inverse = None if axes is None else np.argsort(axes)
+    out = _node(data.copy(), (a,), None)
 
     def rule():
         if a.requires_grad:
-            _acc(a, out.grad.T, "transpose")
+            _acc(a, np.transpose(out.grad, inverse))
 
     out._rule = rule
     return out
@@ -253,7 +251,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
     def rule():
         if a.requires_grad:
-            _acc(a, out.grad.reshape(a.data.shape), "reshape")
+            _acc(a, out.grad.reshape(a.data.shape))
 
     out._rule = rule
     return out
@@ -268,7 +266,7 @@ def getitem(a: Tensor, key) -> Tensor:
         if a.requires_grad:
             g = np.zeros_like(a.data)
             g[key] += out.grad
-            _acc(a, g, "getitem")
+            _acc(a, g)
 
     out._rule = rule
     return out
@@ -283,7 +281,7 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            _acc(a, np.broadcast_to(g, a.data.shape), "sum")
+            _acc(a, np.broadcast_to(g, a.data.shape))
 
     out._rule = rule
     return out
@@ -301,7 +299,7 @@ def tanh(a: Tensor) -> Tensor:
 
     def rule():
         if a.requires_grad:
-            _acc(a, (1.0 - out.data * out.data) * out.grad, "tanh")
+            _acc(a, (1.0 - out.data * out.data) * out.grad)
 
     out._rule = rule
     return out
@@ -322,7 +320,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def rule():
         if a.requires_grad:
-            _acc(a, out.data * (1.0 - out.data) * out.grad, "sigmoid")
+            _acc(a, out.data * (1.0 - out.data) * out.grad)
 
     out._rule = rule
     return out
@@ -334,7 +332,7 @@ def relu(a: Tensor) -> Tensor:
 
     def rule():
         if a.requires_grad:
-            _acc(a, (a.data > 0.0) * out.grad, "relu")
+            _acc(a, (a.data > 0.0) * out.grad)
 
     out._rule = rule
     return out
@@ -352,7 +350,7 @@ def log(a: Tensor) -> Tensor:
 
     def rule():
         if a.requires_grad:
-            _acc(a, np.where(a.data > LOG_FLOOR, 1.0 / clamped, 0.0) * out.grad, "log")
+            _acc(a, np.where(a.data > LOG_FLOOR, 1.0 / clamped, 0.0) * out.grad)
 
     out._rule = rule
     return out
@@ -370,7 +368,7 @@ def pow_const(a: Tensor, exponent: float) -> Tensor:
                 return
             with np.errstate(divide="ignore", invalid="ignore"):
                 d = c * a.data ** (c - 1.0)
-            _acc(a, np.where(np.isfinite(d), d, 0.0) * out.grad, "pow")
+            _acc(a, np.where(np.isfinite(d), d, 0.0) * out.grad)
 
     out._rule = rule
     return out
@@ -389,7 +387,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     def rule():
         if a.requires_grad:
             g = out.grad
-            _acc(a, y * (g - (g * y).sum(axis=axis, keepdims=True)), "softmax")
+            _acc(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
     out._rule = rule
     return out
@@ -414,7 +412,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             if p.requires_grad:
                 idx = [slice(None)] * out.grad.ndim
                 idx[axis] = slice(offset, offset + n)
-                _acc(p, out.grad[tuple(idx)], "concat")
+                _acc(p, out.grad[tuple(idx)])
             offset += n
 
     out._rule = rule
@@ -435,7 +433,7 @@ def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator | N
 
     def rule():
         if a.requires_grad:
-            _acc(a, keep * out.grad, "dropout")
+            _acc(a, keep * out.grad)
 
     out._rule = rule
     return out
@@ -475,31 +473,32 @@ def backward(loss: Tensor) -> None:
 
 def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
     """Compare reverse-mode gradients of scalar-valued ``f`` at ``x`` against
-    central differences.
+    central differences; returns their ``gradient_error``.
 
-    Returns max over entries of |analytic - numeric| / max(1, |analytic|,
-    |numeric|).  ``f`` must be deterministic (no live dropout).
+    ``f`` must be deterministic (no live dropout).
     """
     probe = Tensor(x.data.copy(), requires_grad=True)
     out = f(probe)
     if out.data.size != 1:
         raise ShapeError(f"gradcheck: f must be scalar-valued, got shape {out.shape}")
     backward(out)
-    analytic = probe.grad.copy()
+    return gradient_error(lambda: f(probe).item(), probe.data, probe.grad, eps)
 
-    base = probe.data.copy()
+
+def gradient_error(f: Callable[[], float], data: Array, analytic: Array, eps: float) -> float:
+    """Max over entries of |analytic - numeric| / max(1, |analytic|, |numeric|),
+    ``numeric`` being the central difference of ``f()`` in each entry of
+    ``data``: the entry is moved by +-eps in place, with graph recording off,
+    then restored."""
     numeric = np.zeros_like(analytic)
-    flat_base = base.reshape(-1)
-    flat_num = numeric.reshape(-1)
     with no_grad():
-        for i in range(flat_base.size):
-            orig = flat_base[i]
-            pert = base.copy().reshape(-1)
-            pert[i] = orig + eps
-            plus = f(Tensor(pert.reshape(base.shape))).item()
-            pert[i] = orig - eps
-            minus = f(Tensor(pert.reshape(base.shape))).item()
-            flat_num[i] = (plus - minus) / (2.0 * eps)
-
+        for i in np.ndindex(data.shape):
+            orig = data[i]
+            data[i] = orig + eps
+            plus = f()
+            data[i] = orig - eps
+            minus = f()
+            data[i] = orig
+            numeric[i] = (plus - minus) / (2.0 * eps)
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float((np.abs(analytic - numeric) / denom).max())

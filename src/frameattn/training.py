@@ -25,7 +25,8 @@ from .model import AttentionModel, ModelConfig
 from .seeding import TAG_DROPOUT, mix64
 from .tensor import Tensor
 
-CHECKPOINT_MAGIC = "FRAMEATTN v1"
+# v2: attention projections and experts stored as stacked tensors.
+CHECKPOINT_MAGIC = "FRAMEATTN v2"
 
 
 @dataclass(frozen=True)
@@ -106,13 +107,6 @@ class AdamW:
             if self.weight_decay and name in self.decay_keys:
                 update = update + self.lr * self.weight_decay * p.data
             p.data -= update
-
-    def state_hash(self) -> int:
-        parts = [self.t]
-        for name in sorted(self.m):
-            parts.append(hash(self.m[name].tobytes()))
-            parts.append(hash(self.v[name].tobytes()))
-        return hash(tuple(parts))
 
 
 class PlateauScheduler:

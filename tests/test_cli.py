@@ -4,8 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from frameattn import tensor as T
-from frameattn.cli import main
+from frameattn.cli import _overrides_from_args, build_parser, main
 
 TINY_CONFIG = """
 [model]
@@ -181,6 +180,55 @@ def test_eval_class_count_mismatch_exit_1(tmp_path, tiny_config, dataset):
     assert code == 1
 
 
+def test_flags_override_config_keys_by_dest():
+    args = build_parser().parse_args([
+        "train", "--data", "d", "--out", "o", "--d-model", "16", "--step", "4", "--lam", "0.1",
+    ])
+    ov = _overrides_from_args(args)
+    assert ov["model"] == {"d_model": "16"}
+    assert ov["data"] == {"step": "4"}
+    assert ov["loss"] == {"lam": "0.1"}
+    assert ov["train"] == ov["synthetic"] == {}
+
+
+def write_run_dir(run_dir, normalizer: str, checkpoint: bytes = b"") -> str:
+    run_dir.mkdir()
+    (run_dir / "normalizer.json").write_text(normalizer)
+    (run_dir / "checkpoint.bin").write_bytes(checkpoint)
+    return str(run_dir / "checkpoint.bin")
+
+
+@pytest.mark.parametrize(
+    "normalizer",
+    ["{not json", '{"mean": [0, 0, 0]}', '{"mean": [[0, 0], [0]], "std": [1, 1, 1]}'],
+    ids=["bad-json", "missing-std", "ragged-mean"],
+)
+def test_eval_malformed_normalizer_exit_2(tmp_path, tiny_config, dataset, capsys, normalizer):
+    checkpoint = write_run_dir(tmp_path / "run", normalizer)
+    code = main(["eval", "--config", tiny_config, "--checkpoint", checkpoint, "--data", dataset])
+    assert code == 2
+    assert "normalizer.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest", ["[1, 2]", "{not json"], ids=["not-object", "bad-json"])
+def test_train_malformed_manifest_exit_2(tmp_path, tiny_config, dataset, capsys, manifest):
+    (tmp_path / "data" / "manifest.json").write_text(manifest)
+    code = main(["train", "--config", tiny_config, "--data", dataset,
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "manifest.json" in capsys.readouterr().err
+
+
+def test_eval_v1_checkpoint_exit_1(tmp_path, tiny_config, dataset, capsys):
+    checkpoint = write_run_dir(
+        tmp_path / "run", '{"mean": [0, 0, 0], "std": [1, 1, 1]}', b"FRAMEATTN v1\n"
+    )
+    code = main(["eval", "--config", tiny_config, "--checkpoint", checkpoint, "--data", dataset])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "FRAMEATTN v1" in err and "FRAMEATTN v2" in err
+
+
 def test_gradcheck_command_passes(capsys):
     assert main(["gradcheck", "--seed", "0"]) == 0
     out = capsys.readouterr().out
@@ -190,15 +238,12 @@ def test_gradcheck_command_passes(capsys):
     assert "passed" in out
 
 
-def test_gradcheck_fault_injection_names_offending_block(capsys):
+def test_gradcheck_fault_injection_names_offending_block(capsys, scale_tanh_backward):
     # corrupting tanh's backward breaks the stage that uses it (tanh only
     # appears in the within-frame attention scores); the fault must be large
     # because the report's relative error floors its denominator at 1
-    T.set_backward_fault("tanh", scale=1000.0)
-    try:
-        code = main(["gradcheck", "--seed", "0"])
-    finally:
-        T.set_backward_fault(None)
+    scale_tanh_backward(1000.0)
+    code = main(["gradcheck", "--seed", "0"])
     out = capsys.readouterr().out
     assert code == 1
     assert "FAILED" in out

@@ -20,6 +20,7 @@ from frameattn.model import (
     positional_encoding,
     tiny_gradcheck_config,
 )
+from frameattn.seeding import TAG_INIT, mix64
 from frameattn.tensor import Tensor, backward, gradcheck
 
 
@@ -46,6 +47,45 @@ def model():
 
 def random_frames(batch=4, steps=16, channels=3, seed=0):
     return np.random.default_rng(seed).normal(size=(batch, steps, channels))
+
+
+# parameter layout
+
+
+def split_qkv(wqkv):
+    """The query, key and value projections stored side by side in (d, 3d)."""
+    d = wqkv.shape[0]
+    return wqkv[:, :d], wqkv[:, d : 2 * d], wqkv[:, 2 * d :]
+
+
+def test_stacked_init_matches_one_draw_per_matrix():
+    # reference: the init stream drawn one projection or expert matrix at a
+    # time, in parameter order; the stacked tensors hold the same numbers
+    cfg = tiny_cfg(heads=2, experts=3)
+    p = {k: v.data for k, v in AttentionModel(cfg, seed=7).params.items()}
+    rng = np.random.default_rng(mix64(7, TAG_INIT))
+
+    def draw(shape, fan_in):
+        bound = math.sqrt(6.0 / fan_in)
+        return rng.uniform(-bound, bound, size=shape)
+
+    for i, c_in in enumerate((3, 8)):
+        np.testing.assert_array_equal(p[f"backbone.conv{i}.w"], draw((3, c_in, 8), 3 * c_in))
+    np.testing.assert_array_equal(p["intra.w1"], draw((8, 4), 8))
+    np.testing.assert_array_equal(p["intra.w2"], draw((4, 1), 4))
+    for w in split_qkv(p["inter.wqkv"]):
+        np.testing.assert_array_equal(w, draw((8, 8), 8))
+    np.testing.assert_array_equal(p["cat.w"], draw((16, 8), 16))
+    for head in (slice(0, 4), slice(4, 8)):
+        for w in split_qkv(p["mh.wqkv"]):
+            np.testing.assert_array_equal(w[:, head], draw((8, 4), 8))
+    np.testing.assert_array_equal(p["mh.wo"], draw((8, 8), 8))
+    np.testing.assert_array_equal(p["gate.wg"], draw((8, 8), 8))
+    np.testing.assert_array_equal(p["moe.gate.w"], draw((8, 3), 8))
+    for i in range(3):
+        np.testing.assert_array_equal(p["moe.w1"][i], draw((8, 8), 8))
+        np.testing.assert_array_equal(p["moe.w2"][i], draw((8, 8), 8))
+    np.testing.assert_array_equal(p["cls.w"], draw((8, 4), 8))
 
 
 # config validation
@@ -143,17 +183,17 @@ def test_intra_softmax_of_known_scores():
 
 def test_inter_single_frame_is_its_value_row(model):
     x = Tensor(np.random.default_rng(3).normal(size=(1, 8)))
-    out, weights = inter_attention(x, model.params, 8)
+    out, weights = inter_attention(x, model.params)
     np.testing.assert_allclose(weights.data, [[1.0]])
-    np.testing.assert_allclose(out.data, (x @ model.params["inter.wv"]).data)
+    np.testing.assert_allclose(out.data, x.data @ split_qkv(model.params["inter.wqkv"].data)[2])
 
 
 def test_inter_identical_queries_average_values(model):
     row = np.random.default_rng(4).normal(size=8)
     x = Tensor(np.stack([row, row]))
-    out, weights = inter_attention(x, model.params, 8)
+    out, weights = inter_attention(x, model.params)
     np.testing.assert_allclose(weights.data, 0.5)
-    v = (x @ model.params["inter.wv"]).data
+    v = x.data @ split_qkv(model.params["inter.wqkv"].data)[2]
     np.testing.assert_allclose(out.data[0], v.mean(axis=0), atol=1e-12)
 
 
@@ -162,12 +202,13 @@ def test_inter_matches_standalone_oracle(model):
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, 8))
     p = model.params
-    q, k, v = x @ p["inter.wq"].data, x @ p["inter.wk"].data, x @ p["inter.wv"].data
+    wq, wk, wv = split_qkv(p["inter.wqkv"].data)
+    q, k, v = x @ wq, x @ wk, x @ wv
     scores = q @ k.T / math.sqrt(8)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     w = e / e.sum(axis=1, keepdims=True)
     expected = w @ v
-    out, weights = inter_attention(Tensor(x), p, 8)
+    out, weights = inter_attention(Tensor(x), p)
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
     np.testing.assert_allclose(weights.data, w, atol=1e-12)
 
@@ -194,13 +235,12 @@ def test_multi_head_single_head_identity_projections_reduce_to_inter(model):
     cfg = tiny_cfg(heads=1)
     m = AttentionModel(cfg, seed=0)
     eye = np.eye(8)
-    for name in ("wq", "wk", "wv"):
-        m.params[f"mh.h0.{name}"].data[...] = eye
-        m.params[f"inter.{name}"].data[...] = eye
+    m.params["mh.wqkv"].data[...] = np.hstack([eye, eye, eye])
+    m.params["inter.wqkv"].data[...] = np.hstack([eye, eye, eye])
     m.params["mh.wo"].data[...] = eye
     x = Tensor(np.random.default_rng(7).normal(size=(4, 8)))
     mh_out, _ = multi_head_attention(x, m.params, cfg)
-    inter_out, _ = inter_attention(x, m.params, 8)
+    inter_out, _ = inter_attention(x, m.params)
     np.testing.assert_allclose(mh_out.data, inter_out.data, atol=1e-12)
 
 
@@ -208,7 +248,7 @@ def test_multi_head_output_shape(model):
     x = Tensor(np.random.default_rng(8).normal(size=(5, 8)))
     out, weights = multi_head_attention(x, model.params, model.cfg)
     assert out.shape == (5, 8)
-    assert len(weights) == 2
+    assert weights.shape == (2, 5, 5)
 
 
 def test_multi_head_equals_per_head_oracle():
@@ -222,10 +262,11 @@ def test_multi_head_equals_per_head_oracle():
     x = rng.normal(size=(2, 4))
 
     def one_head(i):
-        p = m.params
-        q = x @ p[f"mh.h{i}.wq"].data
-        k = x @ p[f"mh.h{i}.wk"].data
-        v = x @ p[f"mh.h{i}.wv"].data
+        head = slice(2 * i, 2 * i + 2)
+        wq, wk, wv = split_qkv(m.params["mh.wqkv"].data)
+        q = x @ wq[:, head]
+        k = x @ wk[:, head]
+        v = x @ wv[:, head]
         s = q @ k.T / math.sqrt(2)
         e = np.exp(s - s.max(axis=1, keepdims=True))
         return (e / e.sum(axis=1, keepdims=True)) @ v
@@ -297,18 +338,18 @@ def test_moe_single_expert_is_identity_mixture():
     cfg = tiny_cfg(experts=1)
     m = AttentionModel(cfg, seed=1)
     x = Tensor(np.random.default_rng(14).normal(size=(3, 8)))
-    out, weights = moe_layer(x, m.params, cfg)
+    out, weights = moe_layer(x, m.params)
     np.testing.assert_allclose(weights.data, 1.0)
     p = m.params
-    hidden = np.maximum(x.data @ p["moe.expert0.w1"].data + p["moe.expert0.b1"].data, 0)
-    expert = hidden @ p["moe.expert0.w2"].data + p["moe.expert0.b2"].data
+    hidden = np.maximum(x.data @ p["moe.w1"].data[0] + p["moe.b1"].data[0], 0)
+    expert = hidden @ p["moe.w2"].data[0] + p["moe.b2"].data[0]
     np.testing.assert_allclose(out.data, expert, atol=1e-12)
 
 
 def test_moe_zero_gating_matrix_gives_uniform_mixture(model):
     model.params["moe.gate.w"].data[...] = 0.0
     x = Tensor(np.random.default_rng(15).normal(size=(4, 8)))
-    out, weights = moe_layer(x, model.params, model.cfg)
+    out, weights = moe_layer(x, model.params)
     np.testing.assert_allclose(weights.data, 0.5)
 
 
@@ -323,10 +364,10 @@ def test_moe_matches_weighted_sum_oracle():
     w = e / e.sum(axis=1, keepdims=True)
     expected = np.zeros((4, 8))
     for i in range(3):
-        hidden = np.maximum(x @ p[f"moe.expert{i}.w1"].data + p[f"moe.expert{i}.b1"].data, 0)
-        expert = hidden @ p[f"moe.expert{i}.w2"].data + p[f"moe.expert{i}.b2"].data
+        hidden = np.maximum(x @ p["moe.w1"].data[i] + p["moe.b1"].data[i], 0)
+        expert = hidden @ p["moe.w2"].data[i] + p["moe.b2"].data[i]
         expected += w[:, i : i + 1] * expert
-    out, weights = moe_layer(Tensor(x), p, cfg)
+    out, weights = moe_layer(Tensor(x), p)
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
     np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-9)
 

@@ -21,6 +21,10 @@ def test_matmul_hand_evaluated():
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
         Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
+        Tensor(np.zeros((2, 3, 4))) @ Tensor(np.zeros((3, 4, 5)))
+    with pytest.raises(ShapeError):
+        Tensor(np.zeros(3)) @ Tensor(np.zeros((3, 2)))
 
 
 def test_matmul_backward_rules():
@@ -174,6 +178,9 @@ def test_gradcheck_every_op_on_random_inputs(seed):
         lambda t: T.tsum(-t),
         lambda t: T.tsum(t @ Tensor(w)),
         lambda t: T.tsum(t.transpose() * 2.0),
+        lambda t: T.tsum(t @ Tensor(stack)),
+        lambda t: T.tsum((Tensor(lhs_stack) @ t) ** 2.0),
+        lambda t: T.tsum(t.reshape(5, 7, 1).transpose((1, 2, 0)) * permuted_const),
         lambda t: T.tsum(t.reshape(7, 5)),
         lambda t: T.tsum(t[1:4, 2:6]),
         lambda t: T.tsum(t.sum(axis=1) * 3.0),
@@ -187,6 +194,9 @@ def test_gradcheck_every_op_on_random_inputs(seed):
         lambda t: T.tsum(T.concat([t, t * 2.0], axis=1)),
     ]
     rng_const = Tensor(rng.normal(size=(5, 7)))
+    stack = rng.normal(size=(3, 7, 4))
+    lhs_stack = rng.normal(size=(3, 4, 5))
+    permuted_const = Tensor(rng.normal(size=(7, 1, 5)))
     for f in cases:
         assert gradcheck(f, x) < 1e-6
 
@@ -216,13 +226,10 @@ def test_no_grad_blocks_graph_recording():
     np.testing.assert_array_equal(x.grad, [1.0])
 
 
-def test_backward_fault_hook_corrupts_named_op_only():
+def test_backward_fault_hook_corrupts_named_op_only(scale_tanh_backward):
     x = Tensor(np.random.default_rng(5).normal(size=(4,)))
     clean = gradcheck(lambda t: T.tsum(T.tanh(t) * t), x)
-    T.set_backward_fault("tanh", scale=1.05)
-    try:
-        corrupted = gradcheck(lambda t: T.tsum(T.tanh(t) * t), x)
-    finally:
-        T.set_backward_fault(None)
+    scale_tanh_backward(1.05)
+    corrupted = gradcheck(lambda t: T.tsum(T.tanh(t) * t), x)
     assert clean < 1e-6
     assert corrupted > 1e-3

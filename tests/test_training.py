@@ -180,10 +180,18 @@ def test_evaluate_does_not_mutate_params_or_optimizer():
     splits = small_splits()
     opt = AdamW(m.params, m.decay_keys, lr=1e-3)
     params_before = {k: v.data.tobytes() for k, v in m.params.items()}
-    opt_before = opt.state_hash()
+
+    def opt_state():
+        return (
+            opt.t,
+            {k: a.tobytes() for k, a in opt.m.items()},
+            {k: a.tobytes() for k, a in opt.v.items()},
+        )
+
+    opt_before = opt_state()
     evaluate(m, splits.val, 16, LossConfig(), splits.classes)
     assert {k: v.data.tobytes() for k, v in m.params.items()} == params_before
-    assert opt.state_hash() == opt_before
+    assert opt_state() == opt_before
 
 
 # train loop
