@@ -107,9 +107,11 @@ def load_recordings(path: str | Path) -> list[Recording]:
         except (ValueError, TypeError) as e:
             raise DataError(f"malformed manifest {manifest}: {e}") from None
 
-    recordings = []
-    for f in files:
-        recordings.append(_load_session(f, sample_rate))
+    recordings = [_load_session(f, sample_rate) for f in files]
+    width = recordings[0].samples.shape[1]
+    for f, rec in zip(files, recordings):
+        if rec.samples.shape[1] != width:
+            raise DataError(f"{f}: {rec.samples.shape[1]} channels, but {files[0].name} has {width}")
     return recordings
 
 
@@ -270,6 +272,11 @@ def prepare_splits(
     train_recs, val_recs, test_recs = split_by_session(recordings, val_sessions, test_sessions)
     if stats is None:
         stats = fit_normalizer(train_recs)
+    elif stats.mean.shape != train_recs[0].samples.shape[1:]:
+        raise DataError(
+            f"normalizer stats cover {stats.mean.size} channels, "
+            f"the data has {train_recs[0].samples.shape[1]}"
+        )
     norm = lambda recs: [apply_normalizer(r, stats) for r in recs]
     classes = int(max(r.labels.max() for r in recordings)) + 1
     return DataSplits(

@@ -134,19 +134,9 @@ def positional_encoding(d_model: int, positions: np.ndarray) -> np.ndarray:
 def conv_block(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Same-padded conv along time + ReLU: x (B,T,Cin), w (k,Cin,Cout), b (1,1,Cout).
 
-    Implemented im2col-style: the k shifted views are stacked on the channel
-    axis and hit with one (k*Cin, Cout) matmul.
+    One ``conv1d_same`` node (an im2col matmul) plus the bias and ReLU.
     """
-    batch, steps, c_in = x.shape
-    k, _, c_out = w.shape
-    pad = (k - 1) // 2
-    if pad:
-        zeros = Tensor(np.zeros((batch, pad, c_in)))
-        x = T.concat([zeros, x, zeros], axis=1)
-    taps = [x[:, j : j + steps, :] for j in range(k)]
-    cols = T.concat(taps, axis=2).reshape(batch * steps, k * c_in)
-    out = cols @ w.reshape(k * c_in, c_out)
-    return T.relu(out.reshape(batch, steps, c_out) + b)
+    return T.relu(T.conv1d_same(x, w) + b)
 
 
 def backbone_features(frames: Tensor, params: dict, cfg: ModelConfig) -> Tensor:

@@ -1,11 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A ``Tensor`` wraps a row-major numpy array plus an optional gradient buffer.
-Each operation records its inputs and a local backward rule on its output,
-so the graph is rebuilt from scratch on every forward pass (define-by-run);
-``backward`` then visits the recorded nodes exactly once in reverse
-topological order.  Gradients accumulate additively, which makes tensors
-reused on several paths come out right.
+A ``Tensor`` wraps a row-major numpy array plus an optional gradient.  While
+recording is on, an operation on inputs that need a gradient keeps them and
+a local backward rule on its output, so the graph is rebuilt on every forward
+pass (define-by-run); under ``no_grad`` nothing is recorded.  A rule takes the
+output gradient as its argument and never refers to its own output, so graphs
+are acyclic and freed by reference counting.  ``backward`` visits the recorded
+nodes once in reverse topological order.  Gradients add up, which makes
+tensors reused on several paths come out right: a leaf made with
+``requires_grad=True`` owns a zeroed buffer, and an intermediate gets its
+gradient on first accumulation.
 
 Broadcasting follows numpy; the backward side sums gradients over broadcast
 dimensions.  Everything is float64: at the sizes this package targets the
@@ -19,6 +23,7 @@ import contextlib
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeError
 
@@ -52,7 +57,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = np.zeros_like(self.data) if self.requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
-        self._rule: Callable[[], None] | None = None
+        self._rule: Callable[[Array], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -127,10 +132,11 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data: Array, parents: tuple[Tensor, ...], rule: Callable[[], None] | None) -> Tensor:
-    req = _grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=req)
-    if req:
+def _node(data: Array, parents: tuple[Tensor, ...], rule: Callable[[Array], None]) -> Tensor:
+    """An op's result; ``rule`` and ``parents`` are kept only if a gradient can flow."""
+    out = Tensor(data)
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = parents
         out._rule = rule
     return out
@@ -147,9 +153,16 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 def _acc(t: Tensor, g: Array) -> None:
+    """A leaf adds into its own buffer; a node keeps its first gradient as
+    given, possibly shared, and adds later ones out of place."""
     if g.shape != t.data.shape:
         g = _unbroadcast(g, t.data.shape)
-    t.grad += g
+    if t.grad is None:
+        t.grad = g
+    elif t._rule is None:
+        t.grad += g
+    else:
+        t.grad = t.grad + g
 
 
 def add(a, b) -> Tensor:
@@ -158,28 +171,23 @@ def add(a, b) -> Tensor:
         data = a.data + b.data
     except ValueError as e:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from e
-    out = _node(data, (a, b), None)
 
-    def rule():
+    def rule(g):
         if a.requires_grad:
-            _acc(a, out.grad)
+            _acc(a, g)
         if b.requires_grad:
-            _acc(b, out.grad)
+            _acc(b, g)
 
-    out._rule = rule
-    return out
+    return _node(data, (a, b), rule)
 
 
 def neg(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    out = _node(-a.data, (a,), None)
 
-    def rule():
-        if a.requires_grad:
-            _acc(a, -out.grad)
+    def rule(g):
+        _acc(a, -g)
 
-    out._rule = rule
-    return out
+    return _node(-a.data, (a,), rule)
 
 
 def mul(a, b) -> Tensor:
@@ -188,16 +196,14 @@ def mul(a, b) -> Tensor:
         data = a.data * b.data
     except ValueError as e:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from e
-    out = _node(data, (a, b), None)
 
-    def rule():
+    def rule(g):
         if a.requires_grad:
-            _acc(a, b.data * out.grad)
+            _acc(a, b.data * g)
         if b.requires_grad:
-            _acc(b, a.data * out.grad)
+            _acc(b, a.data * g)
 
-    out._rule = rule
-    return out
+    return _node(data, (a, b), rule)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -210,16 +216,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             data = a.data @ b.data
     if data is None:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = _node(data, (a, b), None)
 
-    def rule():
+    def rule(g):
         if a.requires_grad:
-            _acc(a, out.grad @ np.swapaxes(b.data, -1, -2))
+            _acc(a, g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            _acc(b, np.swapaxes(a.data, -1, -2) @ out.grad)
+            _acc(b, np.swapaxes(a.data, -1, -2) @ g)
 
-    out._rule = rule
-    return out
+    return _node(data, (a, b), rule)
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -231,14 +235,11 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"transpose: axes {axes} do not fit shape {a.shape}") from e
     inverse = None if axes is None else np.argsort(axes)
-    out = _node(data.copy(), (a,), None)
 
-    def rule():
-        if a.requires_grad:
-            _acc(a, np.transpose(out.grad, inverse))
+    def rule(g):
+        _acc(a, np.transpose(g, inverse))
 
-    out._rule = rule
-    return out
+    return _node(data.copy(), (a,), rule)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -247,44 +248,34 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         data = a.data.reshape(tuple(shape))
     except ValueError as e:
         raise ShapeError(f"reshape: cannot view {a.shape} as {tuple(shape)}") from e
-    out = _node(data, (a,), None)
 
-    def rule():
-        if a.requires_grad:
-            _acc(a, out.grad.reshape(a.data.shape))
+    def rule(g):
+        _acc(a, g.reshape(a.data.shape))
 
-    out._rule = rule
-    return out
+    return _node(data, (a,), rule)
 
 
 def getitem(a: Tensor, key) -> Tensor:
     """Basic indexing only (ints and slices); backward scatters into zeros."""
     a = _as_tensor(a)
-    out = _node(a.data[key], (a,), None)
 
-    def rule():
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[key] += out.grad
-            _acc(a, g)
+    def rule(g):
+        full = np.zeros_like(a.data)
+        full[key] += g
+        _acc(a, full)
 
-    out._rule = rule
-    return out
+    return _node(a.data[key], (a,), rule)
 
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    out = _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), None)
 
-    def rule():
-        if a.requires_grad:
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _acc(a, np.broadcast_to(g, a.data.shape))
+    def rule(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _acc(a, np.broadcast_to(g, a.data.shape))
 
-    out._rule = rule
-    return out
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), rule)
 
 
 def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -295,14 +286,12 @@ def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 def tanh(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    out = _node(np.tanh(a.data), (a,), None)
+    y = np.tanh(a.data)
 
-    def rule():
-        if a.requires_grad:
-            _acc(a, (1.0 - out.data * out.data) * out.grad)
+    def rule(g):
+        _acc(a, (1.0 - y * y) * g)
 
-    out._rule = rule
-    return out
+    return _node(y, (a,), rule)
 
 
 def _sigmoid_stable(z: Array) -> Array:
@@ -316,26 +305,21 @@ def _sigmoid_stable(z: Array) -> Array:
 
 def sigmoid(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    out = _node(_sigmoid_stable(a.data), (a,), None)
+    y = _sigmoid_stable(a.data)
 
-    def rule():
-        if a.requires_grad:
-            _acc(a, out.data * (1.0 - out.data) * out.grad)
+    def rule(g):
+        _acc(a, y * (1.0 - y) * g)
 
-    out._rule = rule
-    return out
+    return _node(y, (a,), rule)
 
 
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    out = _node(np.maximum(a.data, 0.0), (a,), None)
 
-    def rule():
-        if a.requires_grad:
-            _acc(a, (a.data > 0.0) * out.grad)
+    def rule(g):
+        _acc(a, (a.data > 0.0) * g)
 
-    out._rule = rule
-    return out
+    return _node(np.maximum(a.data, 0.0), (a,), rule)
 
 
 def log(a: Tensor) -> Tensor:
@@ -346,32 +330,26 @@ def log(a: Tensor) -> Tensor:
     """
     a = _as_tensor(a)
     clamped = np.maximum(a.data, LOG_FLOOR)
-    out = _node(np.log(clamped), (a,), None)
 
-    def rule():
-        if a.requires_grad:
-            _acc(a, np.where(a.data > LOG_FLOOR, 1.0 / clamped, 0.0) * out.grad)
+    def rule(g):
+        _acc(a, np.where(a.data > LOG_FLOOR, 1.0 / clamped, 0.0) * g)
 
-    out._rule = rule
-    return out
+    return _node(np.log(clamped), (a,), rule)
 
 
 def pow_const(a: Tensor, exponent: float) -> Tensor:
     """Elementwise x**c for a python-float exponent; subgradient 0 at kinks."""
     a = _as_tensor(a)
     c = float(exponent)
-    out = _node(a.data**c, (a,), None)
 
-    def rule():
-        if a.requires_grad:
-            if c == 0.0:
-                return
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d = c * a.data ** (c - 1.0)
-            _acc(a, np.where(np.isfinite(d), d, 0.0) * out.grad)
+    def rule(g):
+        if c == 0.0:
+            return
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = c * a.data ** (c - 1.0)
+        _acc(a, np.where(np.isfinite(d), d, 0.0) * g)
 
-    out._rule = rule
-    return out
+    return _node(a.data**c, (a,), rule)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
@@ -382,15 +360,11 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     z = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = _node(y, (a,), None)
 
-    def rule():
-        if a.requires_grad:
-            g = out.grad
-            _acc(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
+    def rule(g):
+        _acc(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
-    out._rule = rule
-    return out
+    return _node(y, (a,), rule)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -403,20 +377,53 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         raise ShapeError(
             "concat: incompatible shapes " + ", ".join(str(p.shape) for p in parts)
         ) from e
-    out = _node(data, tuple(parts), None)
     sizes = [p.data.shape[axis] for p in parts]
 
-    def rule():
+    def rule(g):
         offset = 0
         for p, n in zip(parts, sizes):
             if p.requires_grad:
-                idx = [slice(None)] * out.grad.ndim
+                idx = [slice(None)] * g.ndim
                 idx[axis] = slice(offset, offset + n)
-                _acc(p, out.grad[tuple(idx)])
+                _acc(p, g[tuple(idx)])
             offset += n
 
-    out._rule = rule
-    return out
+    return _node(data, tuple(parts), rule)
+
+
+def conv1d_same(x: Tensor, w: Tensor) -> Tensor:
+    """Zero-padded convolution along time, x (B, T, Cin) and w (k, Cin, Cout)
+    with odd k to (B, T, Cout): out[:, t] = sum_j xpad[:, t + j] @ w[j].
+
+    im2col (Chellapilla et al., 2006): one (B*T, k*Cin) @ (k*Cin, Cout) matmul
+    forward; one matmul per operand plus k shifted adds backward."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.ndim != 3 or w.ndim != 3 or w.shape[0] % 2 == 0 or x.shape[2] != w.shape[1]:
+        raise ShapeError(
+            f"conv1d_same: need x (B, T, Cin) and w (k, Cin, Cout) with odd k, "
+            f"got {x.shape} and {w.shape}"
+        )
+    batch, steps, c_in = x.shape
+    k, _, c_out = w.shape
+    pad = (k - 1) // 2
+    xp = np.pad(x.data, ((0, 0), (pad, pad), (0, 0)))
+    windows = sliding_window_view(xp, k, axis=1)  # (B, T, Cin, k)
+    cols = windows.transpose(0, 1, 3, 2).reshape(batch * steps, k * c_in)
+    w2 = w.data.reshape(k * c_in, c_out)
+
+    def rule(g):
+        g2 = g.reshape(batch * steps, c_out)
+        if w.requires_grad:
+            _acc(w, (cols.T @ g2).reshape(w.data.shape))
+        if x.requires_grad:
+            gcols = (g2 @ w2.T).reshape(batch, steps, k, c_in)
+            gx = np.zeros_like(xp)
+            # last tap first: the order autodiff over per-tap slices sums in
+            for j in reversed(range(k)):
+                gx[:, j : j + steps] += gcols[:, :, j]
+            _acc(x, gx[:, pad : pad + steps])
+
+    return _node((cols @ w2).reshape(batch, steps, c_out), (x, w), rule)
 
 
 def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:
@@ -429,14 +436,11 @@ def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     if rng is None:
         raise ConfigError("dropout in training mode requires an explicit rng")
     keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
-    out = _node(a.data * keep, (a,), None)
 
-    def rule():
-        if a.requires_grad:
-            _acc(a, keep * out.grad)
+    def rule(g):
+        _acc(a, keep * g)
 
-    out._rule = rule
-    return out
+    return _node(a.data * keep, (a,), rule)
 
 
 def backward(loss: Tensor) -> None:
@@ -465,10 +469,10 @@ def backward(loss: Tensor) -> None:
             stack.pop()
             order.append(node)
 
-    loss.grad += 1.0
+    _acc(loss, np.ones_like(loss.data))
     for node in reversed(order):
-        if node._rule is not None:
-            node._rule()
+        if node._rule is not None and node.grad is not None:
+            node._rule(node.grad)
 
 
 def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:

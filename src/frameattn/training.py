@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -173,16 +174,23 @@ def evaluate(
 
 def checkpoint_save(arrays: dict[str, np.ndarray], path: str | Path) -> None:
     """Header line then per-tensor records: a text line ``name rank extents``
-    followed by the row-major little-endian float64 payload."""
+    followed by the row-major little-endian float64 payload.  Written to a
+    temporary file beside ``path`` and renamed over it, so a write that fails
+    part-way leaves the previous checkpoint intact."""
     path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write((CHECKPOINT_MAGIC + "\n").encode("ascii"))
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            extents = " ".join(str(e) for e in arr.shape)
-            header = f"{name} {arr.ndim}" + (f" {extents}" if extents else "") + "\n"
-            fh.write(header.encode("ascii"))
-            fh.write(arr.astype("<f8").tobytes(order="C"))
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write((CHECKPOINT_MAGIC + "\n").encode("ascii"))
+            for name, arr in arrays.items():
+                arr = np.asarray(arr, dtype=np.float64)
+                extents = " ".join(str(e) for e in arr.shape)
+                header = f"{name} {arr.ndim}" + (f" {extents}" if extents else "") + "\n"
+                fh.write(header.encode("ascii"))
+                fh.write(arr.astype("<f8").tobytes(order="C"))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def checkpoint_load(path: str | Path) -> dict[str, np.ndarray]:
@@ -245,7 +253,8 @@ def train(
     parameters, and evaluate that checkpoint on the test split.
 
     Appends one metrics record per (epoch, split) to metrics.jsonl; aborts
-    with NumericError (epoch, batch, lr in the message) on non-finite loss.
+    with NumericError (epoch, batch, lr in the message) on a non-finite loss
+    or parameter gradient, before the update.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -291,6 +300,12 @@ def train(
                     )
                 opt.zero_grad()
                 T.backward(loss)
+                for name, p in model.params.items():
+                    if not np.isfinite(p.grad).all():
+                        raise NumericError(
+                            f"non-finite gradient of '{name}' at epoch {epoch}, batch {b}, "
+                            f"lr {opt.lr:g}"
+                        )
                 if cfg.clip_norm > 0:
                     clip_gradients(model.params, cfg.clip_norm)
                 opt.step()

@@ -15,13 +15,9 @@ def scale_tanh_backward(monkeypatch):
         def tanh(a):
             out = clean_tanh(a)
             clean_rule = out._rule
-
-            def rule():
-                before = a.grad.copy()
-                clean_rule()
-                a.grad += (scale - 1.0) * (a.grad - before)
-
-            out._rule = rule
+            if clean_rule is not None:
+                # the rule is linear in the output gradient it receives
+                out._rule = lambda g: clean_rule(scale * g)
             return out
 
         monkeypatch.setattr(T, "tanh", tanh)

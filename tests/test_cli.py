@@ -219,6 +219,23 @@ def test_train_malformed_manifest_exit_2(tmp_path, tiny_config, dataset, capsys,
     assert "manifest.json" in capsys.readouterr().err
 
 
+def test_train_session_with_fewer_channels_exit_2(tmp_path, tiny_config, dataset, capsys):
+    session = sorted((tmp_path / "data").glob("session_*.csv"))[-1]
+    rows = [line.split(",") for line in session.read_text().splitlines()]
+    session.write_text("".join(",".join(r[:1] + r[2:]) + "\n" for r in rows))
+    code = main(["train", "--config", tiny_config, "--data", dataset,
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"{session.name}: 2 channels" in capsys.readouterr().err
+
+
+def test_eval_normalizer_channel_count_mismatch_exit_2(tmp_path, tiny_config, dataset, capsys):
+    checkpoint = write_run_dir(tmp_path / "run", '{"mean": [0, 0], "std": [1, 1]}')
+    code = main(["eval", "--config", tiny_config, "--checkpoint", checkpoint, "--data", dataset])
+    assert code == 2
+    assert "2 channels, the data has 3" in capsys.readouterr().err
+
+
 def test_eval_v1_checkpoint_exit_1(tmp_path, tiny_config, dataset, capsys):
     checkpoint = write_run_dir(
         tmp_path / "run", '{"mean": [0, 0, 0], "std": [1, 1, 1]}', b"FRAMEATTN v1\n"

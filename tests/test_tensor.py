@@ -192,11 +192,16 @@ def test_gradcheck_every_op_on_random_inputs(seed):
         lambda t: T.tsum((T.sigmoid(t) + 0.5) ** 2.0),
         lambda t: T.tsum(T.softmax(t, axis=1) * t),
         lambda t: T.tsum(T.concat([t, t * 2.0], axis=1)),
+        lambda t: T.tsum(T.conv1d_same(t.reshape(1, 5, 7), Tensor(conv_w)) * conv_cot),
+        lambda t: T.tsum(T.conv1d_same(Tensor(conv_x), t.reshape(5, 7, 1)) ** 2.0),
     ]
     rng_const = Tensor(rng.normal(size=(5, 7)))
     stack = rng.normal(size=(3, 7, 4))
     lhs_stack = rng.normal(size=(3, 4, 5))
     permuted_const = Tensor(rng.normal(size=(7, 1, 5)))
+    conv_w = rng.normal(size=(3, 7, 2))
+    conv_cot = Tensor(rng.normal(size=(1, 5, 2)))
+    conv_x = rng.normal(size=(2, 4, 7))
     for f in cases:
         assert gradcheck(f, x) < 1e-6
 
@@ -233,3 +238,76 @@ def test_backward_fault_hook_corrupts_named_op_only(scale_tanh_backward):
     corrupted = gradcheck(lambda t: T.tsum(T.tanh(t) * t), x)
     assert clean < 1e-6
     assert corrupted > 1e-3
+
+
+def test_backward_skips_nodes_that_receive_no_gradient():
+    x = Tensor([1.0, -2.0], requires_grad=True)
+    backward(T.tsum((x * 2.0) ** 0.0))
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+
+
+def test_gradcheck_intermediate_with_shared_gradient_arrays():
+    # h takes add's gradient twice plus sigmoid's; h + h and u are handed one
+    # gradient array by the outer add, and u then takes a second contribution
+    def f(t):
+        h = T.tanh(t)
+        u = t * 2.0
+        s = (h + h) + u
+        return T.tsum(s * s) + T.tsum(T.sigmoid(h) * u)
+
+    def g(t):
+        h = T.tanh(t)
+        u = t * 2.0
+        s = (h + h) + u
+        return T.tsum(T.sigmoid(h) * u) + T.tsum(s * s)
+
+    x = Tensor(np.random.default_rng(7).normal(size=(3, 4)))
+    assert gradcheck(f, x) < 1e-6
+    assert gradcheck(g, x) < 1e-6
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv1d_same_matches_per_tap_loop(k):
+    rng = np.random.default_rng(k)
+    batch, steps, c_in, c_out = 2, 6, 3, 4
+    x = rng.normal(size=(batch, steps, c_in))
+    w = rng.normal(size=(k, c_in, c_out))
+    expect = np.zeros((batch, steps, c_out))
+    for t in range(steps):
+        for j in range(k):
+            src = t + j - k // 2  # taps past either end read zero padding
+            if 0 <= src < steps:
+                expect[:, t] += x[:, src] @ w[j]
+    out = T.conv1d_same(Tensor(x), Tensor(w))
+    np.testing.assert_allclose(out.data, expect, rtol=1e-12, atol=1e-12)
+
+
+def test_conv1d_same_is_bit_identical_to_composed_ops():
+    # the pad + per-tap slice + concat + matmul graph it replaces, values,
+    # input gradient and weight gradient alike
+    rng = np.random.default_rng(11)
+    x0, w0 = rng.normal(size=(3, 9, 4)), rng.normal(size=(5, 4, 6))
+    cot = Tensor(rng.normal(size=(3, 9, 6)))
+
+    def composed(x, w):
+        zeros = Tensor(np.zeros((3, 2, 4)))
+        xp = T.concat([zeros, x, zeros], axis=1)
+        cols = T.concat([xp[:, j : j + 9, :] for j in range(5)], axis=2).reshape(27, 20)
+        return (cols @ w.reshape(20, 6)).reshape(3, 9, 6)
+
+    results = []
+    for op in (composed, T.conv1d_same):
+        x, w = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+        out = op(x, w)
+        backward(T.tsum(out * cot))
+        results.append((out.data, x.grad, w.grad))
+    for ref, got in zip(*results):
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_conv1d_same_rejects_even_kernel_and_channel_mismatch():
+    x = Tensor(np.zeros((2, 6, 3)))
+    with pytest.raises(ShapeError, match=r"odd k.*\(4, 3, 5\)"):
+        T.conv1d_same(x, Tensor(np.zeros((4, 3, 5))))
+    with pytest.raises(ShapeError, match=r"\(2, 6, 3\).*\(3, 2, 5\)"):
+        T.conv1d_same(x, Tensor(np.zeros((3, 2, 5))))

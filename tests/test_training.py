@@ -1,11 +1,14 @@
+import gc
 import json
 
 import numpy as np
 import pytest
 
+from frameattn import tensor as T
+from frameattn import training
 from frameattn.data import SynthConfig, WindowSpec, generate_synthetic, prepare_splits
 from frameattn.errors import CheckpointError, NumericError
-from frameattn.losses import LossConfig
+from frameattn.losses import LossConfig, combined_loss
 from frameattn.model import AttentionModel, ModelConfig
 from frameattn.tensor import Tensor
 from frameattn.training import (
@@ -139,6 +142,20 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(before, after)
 
 
+def test_checkpoint_failed_write_keeps_previous_file(tmp_path):
+    m = small_model(seed=3)
+    path = tmp_path / "checkpoint.bin"
+    checkpoint_save(m.state_arrays(), path)
+    before = path.read_bytes()
+    broken = {"cls.w": np.ones((8, 4)), "cls.b": np.array(["not a number"])}
+    with pytest.raises(ValueError):
+        checkpoint_save(broken, path)
+    assert path.read_bytes() == before
+    for name, arr in checkpoint_load(path).items():
+        assert arr.tobytes() == m.params[name].data.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
+
+
 def test_checkpoint_truncated_payload_errors(tmp_path):
     m = small_model()
     path = tmp_path / "ck.bin"
@@ -262,6 +279,64 @@ def test_train_aborts_on_divergence_with_diagnostics(tmp_path):
     with pytest.raises(NumericError, match="epoch"):
         train(model_config(), splits.train, splits.val, splits.test,
               train_config(lr=1e18, epochs=20, weight_decay=1.0), tmp_path)
+
+
+def test_train_rejects_non_finite_gradient_before_update(tmp_path, monkeypatch):
+    opts, before = [], []
+
+    class RecordedAdamW(AdamW):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            opts.append(self)
+
+    def state(opt):
+        return (
+            opt.t,
+            {k: p.data.tobytes() for k, p in opt.params.items()},
+            {k: a.tobytes() for k, a in opt.m.items()},
+            {k: a.tobytes() for k, a in opt.v.items()},
+        )
+
+    clean_backward = T.backward
+
+    def poisoned_backward(loss):
+        clean_backward(loss)
+        if opts[0].t == 2:
+            before.append(state(opts[0]))
+            opts[0].params["moe.w1"].grad[0, 0, 0] = np.nan
+
+    monkeypatch.setattr(training, "AdamW", RecordedAdamW)
+    monkeypatch.setattr(T, "backward", poisoned_backward)
+    splits = small_splits()
+    with pytest.raises(NumericError, match=r"'moe.w1' at epoch 0, batch 2, lr 0.001"):
+        train(model_config(), splits.train, splits.val, splits.test, train_config(), tmp_path)
+    assert state(opts[0]) == before[0]
+
+
+def test_train_step_and_no_grad_forward_leave_no_cyclic_garbage():
+    # graphs must be freed by reference counting alone
+    m = AttentionModel(ModelConfig(window_len=16, channels=3, classes=4, d_model=16), seed=0)
+    opt = AdamW(m.params, m.decay_keys, lr=1e-3, weight_decay=1e-2)
+    rng = np.random.default_rng(0)
+    frames = rng.normal(size=(8, 16, 3))
+    labels = rng.integers(0, 4, size=8)
+    gc.collect()
+    gc.disable()
+    try:
+        trace = m.forward(frames, training=True, rng=rng)
+        loss = combined_loss(trace.logits, labels, LossConfig())
+        opt.zero_grad()
+        T.backward(loss)
+        opt.step()
+        del trace, loss
+        after_step = gc.collect()
+        with T.no_grad():
+            trace = m.forward(frames)
+        del trace
+        after_eval = gc.collect()
+    finally:
+        gc.enable()
+    assert (after_step, after_eval) == (0, 0)
 
 
 def test_train_checkpoint_reproduces_reported_test_f1(tmp_path):
