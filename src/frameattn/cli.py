@@ -1,10 +1,15 @@
 """Operator commands: datagen | train | eval | gradcheck | ablate.
 
-Configuration comes from an INI-style file (``key = value`` under
-[model]/[data]/[synthetic]/[train]/[loss] sections), overridable with
-command-line flags; every run echoes its fully resolved configuration to
-``run_config.json`` in the output directory.  Exit codes: 0 success,
-1 configuration or checkpoint error, 2 data error, 3 numeric abort.
+Configuration has one path: defaults, then a config file, then command-line
+flags and ``--set section.key=value``.  The defaults are the field defaults
+of ``ModelConfig``, ``SynthConfig``, ``TrainConfig`` and ``LossConfig``; only
+the [data] section and ``model.disable`` are listed here.  The config file
+is INI-style (``key = value`` under [model]/[data]/[synthetic]/[train]/[loss]
+sections) or a ``run_config.json``, whose seed replaces ``--seed``.  Every
+run echoes its fully resolved configuration to ``run_config.json`` in the
+output directory, and ``eval`` loads the one beside its checkpoint.  Exit
+codes: 0 success, 1 configuration or checkpoint error, 2 data error,
+3 numeric abort.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import csv
 import json
 import statistics
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,16 +55,19 @@ from .training import TrainConfig, checkpoint_load, evaluate, train
 
 GRADCHECK_TOLERANCE = 1e-4
 
+
+def _field_defaults(cls) -> dict[str, str]:
+    # Fields without a plain default come from the data or another section;
+    # the seed comes from --seed and the synthetic window from [data].
+    return {
+        f.name: str(f.default)
+        for f in fields(cls)
+        if f.default is not MISSING and f.name not in ("seed", "window")
+    }
+
+
 DEFAULTS = {
-    "model": {
-        "d_model": "128",
-        "heads": "8",
-        "experts": "8",
-        "dropout": "0.5",
-        "conv_blocks": "3",
-        "kernel": "5",
-        "disable": "",
-    },
+    "model": {**_field_defaults(ModelConfig), "disable": ""},
     "data": {
         "window": "24",
         "step": "12",
@@ -67,31 +75,9 @@ DEFAULTS = {
         "val_sessions": "1",
         "test_sessions": "1",
     },
-    "synthetic": {
-        "classes": "4",
-        "channels": "3",
-        "sessions": "6",
-        "session_len": "6656",
-        "mean_dwell_windows": "4.0",
-        "context": "true",
-        "noise": "0.4",
-    },
-    "train": {
-        "epochs": "150",
-        "batch_size": "128",
-        "lr": "1e-3",
-        "weight_decay": "1e-2",
-        "plateau_patience": "10",
-        "lr_factor": "0.5",
-        "min_lr": "1e-6",
-        "strategy": TIME_SEQUENTIAL,
-        "clip_norm": "0",
-    },
-    "loss": {
-        "lam": "0.5",
-        "beta": "0.25",
-        "gamma": "2.0",
-    },
+    "synthetic": _field_defaults(SynthConfig),
+    "train": _field_defaults(TrainConfig),
+    "loss": _field_defaults(LossConfig),
 }
 
 # Component ablation presets mirroring the five-row component study
@@ -115,7 +101,17 @@ def _parse_bool(value: str) -> bool:
         return True
     if v in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got '{value}'")
+    raise ValueError(value)
+
+
+# Parser and expectation per field annotation (a string: the config
+# dataclasses' modules postpone annotation evaluation).
+_PARSERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (_parse_bool, "a boolean"),
+    "str": (str, "a string"),
+}
 
 
 def _normalize_strategy(value: str) -> str:
@@ -123,6 +119,42 @@ def _normalize_strategy(value: str) -> str:
     if v not in STRATEGIES:
         raise ConfigError(f"unknown strategy '{value}' (expected one of {STRATEGIES})")
     return v
+
+
+def _read_config(path: Path, seed: int) -> tuple[dict, int]:
+    """The sections of an INI file or a ``run_config.json``, and the seed:
+    the JSON file's own, if it has one."""
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        if path.suffix != ".json":
+            parser = configparser.ConfigParser()
+            parser.read(path)
+            return {s: dict(parser.items(s)) for s in parser.sections()}, seed
+        given = json.loads(path.read_text())
+    except (configparser.Error, OSError, ValueError) as e:
+        raise ConfigError(f"cannot parse config file {path}: {e}") from None
+    if not isinstance(given, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object of sections")
+    raw = given.pop("seed", seed)
+    try:
+        return given, int(str(raw))
+    except ValueError:
+        raise ConfigError(f"seed in {path} must be an integer, got {raw!r}") from None
+
+
+def _merge(sections: dict[str, dict[str, str]], given: dict, source: str) -> None:
+    """Overlay ``given`` ({section: {key: value}}) onto ``sections``; an
+    unknown section or key is a ConfigError naming ``source``."""
+    for section, values in given.items():
+        if section not in sections:
+            raise ConfigError(f"unknown config section [{section}] in {source}")
+        if not isinstance(values, dict):
+            raise ConfigError(f"section [{section}] in {source} must map keys to values")
+        for key, value in values.items():
+            if key not in sections[section]:
+                raise ConfigError(f"unknown key '{key}' in section [{section}] of {source}")
+            sections[section][key] = str(value)
 
 
 class RunConfig:
@@ -133,94 +165,42 @@ class RunConfig:
         self.seed = seed
 
     @classmethod
-    def load(cls, config_path: str | None, overrides: dict[str, dict[str, str]], seed: int):
+    def load(cls, config_path: str | Path | None, overrides: dict[str, dict[str, str]], seed: int):
         sections = {name: dict(values) for name, values in DEFAULTS.items()}
         if config_path:
-            path = Path(config_path)
-            if not path.is_file():
-                raise ConfigError(f"config file not found: {path}")
-            parser = configparser.ConfigParser()
-            try:
-                parser.read(path)
-            except configparser.Error as e:
-                raise ConfigError(f"cannot parse config file {path}: {e}") from None
-            for section in parser.sections():
-                if section not in sections:
-                    raise ConfigError(f"unknown config section [{section}] in {path}")
-                for key, value in parser.items(section):
-                    if key not in sections[section]:
-                        raise ConfigError(f"unknown key '{key}' in section [{section}] of {path}")
-                    sections[section][key] = value
-        for section, values in overrides.items():
-            for key, value in values.items():
-                if value is None:
-                    continue
-                if key not in sections[section]:
-                    raise ConfigError(f"unknown key '{key}' in section [{section}]")
-                sections[section][key] = str(value)
+            given, seed = _read_config(Path(config_path), seed)
+            _merge(sections, given, str(config_path))
+        _merge(sections, overrides, "the command line")
         return cls(sections, seed)
 
-    def _get(self, section: str, key: str) -> str:
-        return self.sections[section][key]
-
-    def _int(self, section: str, key: str) -> int:
+    def value(self, section: str, key: str, kind: str):
+        raw = self.sections[section][key]
+        parse, expected = _PARSERS[kind]
         try:
-            return int(self._get(section, key))
+            return parse(raw)
         except ValueError:
-            raise ConfigError(f"[{section}] {key} must be an integer, got '{self._get(section, key)}'") from None
+            raise ConfigError(f"[{section}] {key} must be {expected}, got '{raw}'") from None
 
-    def _float(self, section: str, key: str) -> float:
-        try:
-            return float(self._get(section, key))
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be a number, got '{self._get(section, key)}'") from None
+    def build(self, cls, section: str, **given):
+        """``cls(**given)``, with every other field parsed by its annotation
+        from the same-named key of ``[section]``."""
+        for f in fields(cls):
+            if f.name not in given:
+                given[f.name] = self.value(section, f.name, f.type)
+        return cls(**given)
 
     @property
     def disable_flags(self) -> set[str]:
-        raw = self._get("model", "disable")
-        return {v.strip() for v in raw.split(",") if v.strip()}
-
-    def window_spec(self) -> WindowSpec:
-        return WindowSpec(
-            window=self._int("data", "window"),
-            step=self._int("data", "step"),
-            label_rule=self._get("data", "label_rule"),
-        )
-
-    def loss_config(self) -> LossConfig:
-        lam = 0.0 if "focal" in self.disable_flags else self._float("loss", "lam")
-        return LossConfig(
-            lam=lam,
-            beta=self._float("loss", "beta"),
-            gamma=self._float("loss", "gamma"),
-        )
+        return {v.strip() for v in self.sections["model"]["disable"].split(",") if v.strip()}
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self._int("train", "epochs"),
-            batch_size=self._int("train", "batch_size"),
-            lr=self._float("train", "lr"),
-            weight_decay=self._float("train", "weight_decay"),
-            plateau_patience=self._int("train", "plateau_patience"),
-            lr_factor=self._float("train", "lr_factor"),
-            min_lr=self._float("train", "min_lr"),
-            strategy=_normalize_strategy(self._get("train", "strategy")),
+        focal_off = {"lam": 0.0} if "focal" in self.disable_flags else {}
+        return self.build(
+            TrainConfig,
+            "train",
+            strategy=_normalize_strategy(self.sections["train"]["strategy"]),
             seed=self.seed,
-            clip_norm=self._float("train", "clip_norm"),
-            loss=self.loss_config(),
-        )
-
-    def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            classes=self._int("synthetic", "classes"),
-            channels=self._int("synthetic", "channels"),
-            sessions=self._int("synthetic", "sessions"),
-            session_len=self._int("synthetic", "session_len"),
-            window=self._int("data", "window"),
-            mean_dwell_windows=self._float("synthetic", "mean_dwell_windows"),
-            context=_parse_bool(self._get("synthetic", "context")),
-            noise=self._float("synthetic", "noise"),
-            seed=self.seed,
+            loss=self.build(LossConfig, "loss", **focal_off),
         )
 
     def resolved(self) -> dict:
@@ -247,37 +227,28 @@ def _overrides_from_args(args: argparse.Namespace) -> dict[str, dict[str, str]]:
             raise ConfigError(f"--set expects section.key=value, got '{item}'")
         dotted, value = item.split("=", 1)
         section, key = dotted.split(".", 1)
-        if section not in ov:
-            raise ConfigError(f"unknown config section '{section}' in --set {item}")
-        ov[section][key.strip()] = value.strip()
+        ov.setdefault(section, {})[key.strip()] = value.strip()
     return ov
 
 
 def _load_splits(data_dir: str, run: RunConfig, stats: NormStats | None = None) -> DataSplits:
-    recordings = load_recordings(data_dir)
     return prepare_splits(
-        recordings,
-        run.window_spec(),
-        val_sessions=run._int("data", "val_sessions"),
-        test_sessions=run._int("data", "test_sessions"),
+        load_recordings(data_dir),
+        run.build(WindowSpec, "data"),
+        val_sessions=run.value("data", "val_sessions", "int"),
+        test_sessions=run.value("data", "test_sessions", "int"),
         stats=stats,
     )
 
 
 def _model_config_for(run: RunConfig, splits: DataSplits) -> ModelConfig:
-    channels = splits.train[0].data.shape[1] if splits.train else splits.test[0].data.shape[1]
-    flags = run.disable_flags
-    return ModelConfig(
-        window_len=run._int("data", "window"),
-        channels=channels,
+    return run.build(
+        ModelConfig,
+        "model",
+        window_len=run.value("data", "window", "int"),
+        channels=splits.stats.mean.size,
         classes=splits.classes,
-        d_model=run._int("model", "d_model"),
-        heads=run._int("model", "heads"),
-        experts=run._int("model", "experts"),
-        dropout=run._float("model", "dropout"),
-        conv_blocks=run._int("model", "conv_blocks"),
-        kernel=run._int("model", "kernel"),
-        disabled=frozenset(flags - {"focal"}),
+        disabled=frozenset(run.disable_flags - {"focal"}),
     )
 
 
@@ -307,7 +278,9 @@ def _read_normalizer(path: Path) -> NormStats:
 
 def cmd_datagen(args: argparse.Namespace) -> int:
     run = RunConfig.load(args.config, _overrides_from_args(args), args.seed)
-    cfg = run.synth_config()
+    cfg = run.build(
+        SynthConfig, "synthetic", window=run.value("data", "window", "int"), seed=run.seed
+    )
     recordings = generate_synthetic(cfg)
     out = Path(args.out)
     manifest = {
@@ -349,14 +322,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     ckpt_path = Path(args.checkpoint)
     run_dir = ckpt_path.parent
-    config_path = args.config or (run_dir / "run_config.json")
-    if Path(config_path).name == "run_config.json" and Path(config_path).is_file():
-        resolved = json.loads(Path(config_path).read_text())
-        seed = int(resolved.pop("seed", args.seed))
-        sections = {s: {k: str(v) for k, v in vals.items()} for s, vals in resolved.items()}
-        run = RunConfig(sections, seed)
-    else:
-        run = RunConfig.load(args.config, _overrides_from_args(args), args.seed)
+    saved = run_dir / "run_config.json"
+    config = args.config or (saved if saved.is_file() else None)
+    run = RunConfig.load(config, _overrides_from_args(args), args.seed)
     stats = _read_normalizer(run_dir / "normalizer.json")
     splits = _load_splits(args.data, run, stats=stats)
     model_cfg = _model_config_for(run, splits)
@@ -371,9 +339,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model.load_state(arrays)
 
     frames = {"train": splits.train, "val": splits.val, "test": splits.test}[args.split]
-    loss, report = evaluate(
-        model, frames, run.train_config().batch_size, run.loss_config(), splits.classes
-    )
+    train_cfg = run.train_config()
+    loss, report = evaluate(model, frames, train_cfg.batch_size, train_cfg.loss, splits.classes)
     print(f"split {args.split}: mean F1 {report.mean_f1:.6f}, loss {loss:.6f}")
     print("class  tp  fp  fn  f1")
     for c in range(report.classes):
@@ -505,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", default=None, help="INI config file")
+        p.add_argument("--config", default=None, help="INI file or run_config.json")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override any config entry")

@@ -277,15 +277,16 @@ def prepare_splits(
             f"normalizer stats cover {stats.mean.size} channels, "
             f"the data has {train_recs[0].samples.shape[1]}"
         )
-    norm = lambda recs: [apply_normalizer(r, stats) for r in recs]
+    frames = {}
+    for name, recs in (("train", train_recs), ("val", val_recs), ("test", test_recs)):
+        frames[name] = build_frames([apply_normalizer(r, stats) for r in recs], spec)
+        if not frames[name]:
+            raise DataError(
+                f"the {name} split has no frames: its sessions are shorter than "
+                f"the {spec.window}-sample window"
+            )
     classes = int(max(r.labels.max() for r in recordings)) + 1
-    return DataSplits(
-        train=build_frames(norm(train_recs), spec),
-        val=build_frames(norm(val_recs), spec),
-        test=build_frames(norm(test_recs), spec),
-        stats=stats,
-        classes=classes,
-    )
+    return DataSplits(**frames, stats=stats, classes=classes)
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,7 @@ class MetricsReport:
 
 
 class MetricsAccumulator:
-    """Running TP/FP/FN counts; merge is associative and commutative."""
+    """Running TP/FP/FN counts over successive updates."""
 
     def __init__(self, classes: int):
         if classes < 1:
@@ -125,14 +125,6 @@ class MetricsAccumulator:
         self.tp += np.bincount(labels[hit], minlength=self.classes)
         self.fp += np.bincount(predictions[~hit], minlength=self.classes)
         self.fn += np.bincount(labels[~hit], minlength=self.classes)
-
-    def merge(self, other: "MetricsAccumulator") -> "MetricsAccumulator":
-        if other.classes != self.classes:
-            raise ConfigError(f"class count mismatch: {self.classes} vs {other.classes}")
-        self.tp += other.tp
-        self.fp += other.fp
-        self.fn += other.fn
-        return self
 
     def report(self) -> MetricsReport:
         denom = 2 * self.tp + self.fp + self.fn

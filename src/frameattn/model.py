@@ -285,10 +285,6 @@ class AttentionModel:
         self._add("cls.w", self._matrix(rng, (d, cfg.classes), d), decay=True)
         self._add("cls.b", np.zeros((1, cfg.classes)), decay=False)
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}
 
@@ -444,7 +440,6 @@ def parameter_gradcheck_report(
         trace = model.forward(frames, training=False)
         return combined_loss(trace.logits, labels, loss_cfg)
 
-    model.zero_grad()
     T.backward(loss_value())
 
     worst: dict[str, float] = {name: 0.0 for name, _ in GRADCHECK_BLOCKS}

@@ -4,7 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from frameattn.cli import _overrides_from_args, build_parser, main
+from frameattn.cli import DEFAULTS, RunConfig, _overrides_from_args, build_parser, main
+from frameattn.data import SynthConfig, WindowSpec
+from frameattn.model import ModelConfig
+from frameattn.training import TrainConfig
 
 TINY_CONFIG = """
 [model]
@@ -191,6 +194,75 @@ def test_flags_override_config_keys_by_dest():
     assert ov["train"] == ov["synthetic"] == {}
 
 
+def test_defaults_keys_are_unique_across_sections():
+    # _overrides_from_args maps a flag dest to its key in whichever section
+    keys = [key for values in DEFAULTS.values() for key in values]
+    assert len(keys) == len(set(keys))
+
+
+def test_resolved_defaults_build_every_dataclass_as_its_defaults():
+    run = RunConfig.load(None, {}, seed=0)
+    assert run.build(WindowSpec, "data") == WindowSpec(window=24, step=12)
+    assert run.build(SynthConfig, "synthetic", window=24, seed=0) == SynthConfig(window=24)
+    assert run.train_config() == TrainConfig()
+    model = run.build(ModelConfig, "model", window_len=24, channels=3, classes=4,
+                      disabled=frozenset())
+    assert model == ModelConfig(window_len=24, channels=3, classes=4)
+
+
+def test_run_config_json_reloads_with_its_seed_and_old_spellings(tmp_path):
+    run = RunConfig.load(None, {}, seed=4)
+    run.write_resolved(tmp_path)
+    old = json.loads((tmp_path / "run_config.json").read_text())
+    old["train"].update(lr="1e-3", weight_decay="1e-2", min_lr="1e-6", clip_norm="0")
+    old["synthetic"]["context"] = "true"
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    for path in (tmp_path / "run_config.json", tmp_path / "old.json"):
+        loaded = RunConfig.load(path, {}, seed=0)
+        assert loaded.seed == 4
+        assert loaded.train_config() == run.train_config()
+        assert (loaded.build(SynthConfig, "synthetic", window=24, seed=4)
+                == run.build(SynthConfig, "synthetic", window=24, seed=4))
+
+
+@pytest.mark.parametrize(
+    "config, extra, message",
+    [
+        ("[modle]\nd_model = 8\n", [], "unknown config section [modle] in"),
+        ("[model]\nwidth = 8\n", [], "unknown key 'width' in section [model] of"),
+        ("", ["--set", "synth.sessions=2"], "unknown config section [synth] in the command line"),
+        ("", ["--set", "synthetic.width=2"], "unknown key 'width' in section [synthetic]"),
+        ("", ["--set", "synthetic.sessions=many"],
+         "[synthetic] sessions must be an integer, got 'many'"),
+        ("", ["--set", "synthetic.noise=loud"], "[synthetic] noise must be a number, got 'loud'"),
+        ("", ["--set", "synthetic.context=maybe"],
+         "[synthetic] context must be a boolean, got 'maybe'"),
+        ("", ["--set", "sessions=2"], "--set expects section.key=value, got 'sessions=2'"),
+    ],
+    ids=["ini-section", "ini-key", "set-section", "set-key", "int", "float", "bool",
+         "set-syntax"],
+)
+def test_config_errors_exit_1_naming_section_and_key(tmp_path, capsys, config, extra, message):
+    path = tmp_path / "c.ini"
+    path.write_text(config)
+    code = main(["datagen", "--config", str(path), "--out", str(tmp_path / "d"), *extra])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def test_train_sessions_shorter_than_window_exit_2(tmp_path, tiny_config, capsys):
+    data_dir = tmp_path / "short"
+    data_dir.mkdir()
+    for i in range(3):
+        rows = "".join(f"{t},{0.1 * t},{i},{-t},{t % 2}\n" for t in range(10))
+        (data_dir / f"session_{i}.csv").write_text("t,ch1,ch2,ch3,label\n" + rows)
+    code = main(["train", "--config", tiny_config, "--data", str(data_dir),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "the train split has no frames" in capsys.readouterr().err
+
+
 def write_run_dir(run_dir, normalizer: str, checkpoint: bytes = b"") -> str:
     run_dir.mkdir()
     (run_dir / "normalizer.json").write_text(normalizer)
@@ -244,6 +316,38 @@ def test_eval_v1_checkpoint_exit_1(tmp_path, tiny_config, dataset, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "FRAMEATTN v1" in err and "FRAMEATTN v2" in err
+
+
+@pytest.mark.parametrize(
+    "run_config",
+    [
+        "{not json",
+        "[1, 2]",
+        '{"seed": 0, "model": "d_model = 8"}',
+        '{"seed": "zero"}',
+        '{"seed": 0, "extra": {}}',
+        '{"seed": 0, "model": {"width": "8"}}',
+    ],
+    ids=["bad-json", "not-object", "section-not-object", "seed-not-integer",
+         "unknown-section", "unknown-key"],
+)
+def test_eval_malformed_run_config_exit_1(tmp_path, dataset, capsys, run_config):
+    checkpoint = write_run_dir(tmp_path / "run", '{"mean": [0, 0, 0], "std": [1, 1, 1]}')
+    (tmp_path / "run" / "run_config.json").write_text(run_config)
+    code = main(["eval", "--checkpoint", checkpoint, "--data", dataset])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "run_config.json" in err
+
+
+def test_eval_set_override_applies_to_run_config(tmp_path, tiny_config, dataset, capsys):
+    run_dir = tmp_path / "run"
+    main(["train", "--config", tiny_config, "--data", dataset, "--out", str(run_dir)])
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"), "--data", dataset,
+                 "--set", "model.d_model=16"])
+    assert code == 1
+    assert "shape mismatch" in capsys.readouterr().err
 
 
 def test_gradcheck_command_passes(capsys):

@@ -242,6 +242,15 @@ def test_prepare_splits_normalizes_with_train_stats():
     assert splits.classes == 4
 
 
+@pytest.mark.parametrize("short", [0, 1, 2], ids=["train", "val", "test"])
+def test_prepare_splits_rejects_split_without_frames(short):
+    # sessions sort as s0 (train), s1 (val), s2 (test)
+    recs = [make_recording(10 if i == short else 40, session=f"s{i}") for i in range(3)]
+    name = ["train", "val", "test"][short]
+    with pytest.raises(DataError, match=f"the {name} split has no frames"):
+        prepare_splits(recs, WindowSpec(window=16, step=8))
+
+
 # synthetic generator
 
 

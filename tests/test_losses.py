@@ -175,14 +175,12 @@ def test_mean_f1_invariant_under_relabeling(labels, perm_seed):
     assert abs(base - relabeled) < 1e-12
 
 
-def test_accumulator_counts_and_merge():
+def test_accumulator_counts_over_successive_updates():
     labels = np.array([0, 0, 1, 1, 2])
     preds = np.array([0, 1, 1, 1, 0])
     a = MetricsAccumulator(3)
     a.update(preds[:2], labels[:2])
-    b = MetricsAccumulator(3)
-    b.update(preds[2:], labels[2:])
-    a.merge(b)
+    a.update(preds[2:], labels[2:])
     whole = MetricsAccumulator(3)
     whole.update(preds, labels)
     np.testing.assert_array_equal(a.tp, whole.tp)

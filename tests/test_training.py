@@ -97,6 +97,44 @@ def test_adamw_with_zero_decay_matches_plain_adam_oracle():
     np.testing.assert_allclose(p["w"].data, ref, atol=1e-12)
 
 
+# gradient clipping
+
+
+def params_with_grads(seed, scale):
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape in (("a", (3, 4)), ("b", (5,)), ("c", (2, 1, 3))):
+        params[name] = Tensor(np.zeros(shape), requires_grad=True)
+        params[name].grad[...] = scale * rng.normal(size=shape)
+    return params
+
+
+def global_grad_norm(params):
+    return float(np.sqrt(sum((p.grad**2).sum() for p in params.values())))
+
+
+def test_clip_gradients_scales_over_norm_to_clip_norm():
+    params = params_with_grads(0, 10.0)
+    before = {name: p.grad.copy() for name, p in params.items()}
+    assert global_grad_norm(params) > 2.0
+    training.clip_gradients(params, 2.0)
+    assert abs(global_grad_norm(params) - 2.0) < 1e-12
+    # one common factor for every entry of every parameter
+    factor = params["a"].grad[0, 0] / before["a"][0, 0]
+    assert 0.0 < factor < 1.0
+    for name, p in params.items():
+        np.testing.assert_allclose(p.grad, factor * before[name], rtol=1e-12)
+
+
+# a clip norm of 0 disables clipping
+@pytest.mark.parametrize("relative_norm", [1.5, 0.0], ids=["under-norm", "disabled"])
+def test_clip_gradients_leaves_gradients_bit_identical(relative_norm):
+    params = params_with_grads(1, 10.0)
+    before = {name: p.grad.tobytes() for name, p in params.items()}
+    training.clip_gradients(params, relative_norm * global_grad_norm(params))
+    assert {name: p.grad.tobytes() for name, p in params.items()} == before
+
+
 # plateau scheduler
 
 
