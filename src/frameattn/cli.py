@@ -378,13 +378,15 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated integers, got '{text}'") from None
+
+
 def cmd_ablate(args: argparse.Namespace) -> int:
     run = RunConfig.load(args.config, _overrides_from_args(args), args.seed)
-    splits = _load_splits(args.data, run)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    run.write_resolved(out)
-
     cells = [c.strip() for c in args.cells.split(",") if c.strip()]
     for cell in cells:
         if cell not in COMPONENT_CELLS:
@@ -392,10 +394,14 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                 f"unknown ablation cell '{cell}' (expected one of {sorted(COMPONENT_CELLS)})"
             )
     strategies = [_normalize_strategy(s) for s in args.strategies.split(",") if s.strip()]
-    batch_sizes = [int(b) for b in args.batch_sizes.split(",") if b.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    batch_sizes = _int_list("--batch-sizes", args.batch_sizes)
+    seeds = _int_list("--seeds", args.seeds)
     if not (cells and strategies and batch_sizes and seeds):
         raise ConfigError("ablation grid must have at least one cell/strategy/batch size/seed")
+    splits = _load_splits(args.data, run)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    run.write_resolved(out)
 
     grid = []
     seen = set()

@@ -15,10 +15,13 @@ import csv
 import json
 import logging
 import math
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, ParseError
 from .seeding import TAG_SYNTH, mix64
@@ -87,8 +90,14 @@ class NormStats:
 def load_recordings(path: str | Path) -> list[Recording]:
     """Read one Recording per ``*.csv`` session file, lexicographic order.
 
-    Expected header: ``t, ch1..chD, label``.  Rows containing non-finite
-    channel values are dropped (count logged).
+    Format: a header ``t, ch1..chD, label``, then rows of exactly as many
+    comma-separated numbers, which may be quoted (``"1.5"``) and padded
+    with spaces.  Blank lines are skipped but still count in an error's
+    ``file:line``.  ``t`` must be finite; rows are sorted by it, stably.  A
+    label is a non-negative integral value below 2**63 (``2.0`` passes,
+    ``2.7``, ``nan`` and ``inf`` do not).  Rows with a non-finite channel
+    value are dropped (count logged).  Numbers are read by ``np.loadtxt``,
+    so Python-only float spellings such as ``1_0.5`` are a ParseError.
     """
     root = Path(path)
     if not root.is_dir():
@@ -116,45 +125,65 @@ def load_recordings(path: str | Path) -> list[Recording]:
 
 
 def _load_session(path: Path, sample_rate: float) -> Recording:
+    """One ``np.loadtxt`` call per session; the row checks are array ops."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise DataError(f"empty session file: {path}") from None
-        header = [h.strip() for h in header]
         if len(header) < 3 or header[0] != "t" or header[-1] != "label":
             raise ParseError(f"{path}: header must be 't, ch1..chD, label', got {header}")
-        n_ch = len(header) - 2
-
-        rows = []
-        dropped = 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                t = float(row[0])
-                channels = [float(v) for v in row[1:-1]]
-                label = int(float(row[-1]))
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from None
-            if not all(math.isfinite(v) for v in channels):
-                dropped += 1
-                continue
-            if label < 0:
-                raise DataError(f"{path}:{lineno}: negative label {label}")
-            rows.append((t, channels, label))
-
+        try:
+            with warnings.catch_warnings():  # no rows: the DataError below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                body = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except ValueError as e:
+            _raise_first_bad_row(path, len(header), str(e))
+    t, channels, labels = body[:, 0], body[:, 1:-1], body[:, -1]
+    kept = np.isfinite(channels).all(axis=1)
+    valid = np.isfinite(t) & (np.floor(labels) == labels) & (np.abs(labels) < 2.0**63)
+    if (len(body) and body.shape[1] != len(header)) or not (valid & ~(kept & (labels < 0))).all():
+        _raise_first_bad_row(path, len(header), f"rows do not match the header {header}")
+    rows = np.flatnonzero(kept)
+    dropped = len(body) - len(rows)
     if dropped:
         log.warning("%s: dropped %d rows with non-finite channel values", path.name, dropped)
-    if not rows:
+    if not len(rows):
         raise DataError(f"no usable data rows in {path}")
-    rows.sort(key=lambda r: r[0])
-    samples = np.array([r[1] for r in rows], dtype=np.float64).reshape(len(rows), n_ch)
-    labels = np.array([r[2] for r in rows], dtype=np.int64)
-    return Recording(session_id=path.stem, samples=samples, labels=labels, sample_rate=sample_rate)
+    rows = rows[np.argsort(t[rows], kind="stable")]
+    return Recording(path.stem, channels[rows], labels[rows].astype(np.int64), sample_rate)
+
+
+def _raise_first_bad_row(path: Path, width: int, reason: str) -> NoReturn:
+    """Error reporting for a session the bulk parse rejected: the same rules
+    row by row, raising at the first bad ``file:line``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            at = f"{path}:{lineno}"
+            if not row:
+                continue
+            if len(row) != width:
+                raise ParseError(f"{at}: expected {width} fields, got {len(row)}")
+            try:
+                t, *channels, label = [_number(v) for v in row]
+            except ValueError as e:
+                raise ParseError(f"{at}: {e}") from None
+            if not math.isfinite(t):
+                raise ParseError(f"{at}: timestamp {t} is not finite")
+            if not (label.is_integer() and abs(label) < 2.0**63):
+                raise ParseError(f"{at}: label must be an integer below 2**63, got {row[-1]!r}")
+            if label < 0 and all(map(math.isfinite, channels)):
+                raise DataError(f"{at}: negative label {int(label)}")
+    raise ParseError(f"{path}: {reason}")
+
+
+def _number(field: str) -> float:
+    """``float``, narrowed to the spellings ``np.loadtxt`` accepts."""
+    if field.strip().isascii() and "_" not in field:
+        return float(field)
+    raise ValueError(f"could not convert string to float: {field!r}")
 
 
 def fit_normalizer(recordings: list[Recording]) -> NormStats:
@@ -177,15 +206,16 @@ def apply_normalizer(recording: Recording, stats: NormStats) -> Recording:
     )
 
 
-def _window_label(labels: np.ndarray, rule: str) -> int:
+def _window_labels(windows: np.ndarray, rule: str) -> np.ndarray:
+    """Per row of ``windows`` (n, T): the last label, or under ``majority``
+    the most frequent one (the last again when two or more tie)."""
+    last = windows[:, -1]
     if rule == "last":
-        return int(labels[-1])
-    counts = np.bincount(labels)
-    top = counts.max()
-    winners = np.flatnonzero(counts == top)
-    if len(winners) > 1:
-        return int(labels[-1])
-    return int(winners[0])
+        return last
+    classes = np.unique(windows)
+    counts = np.stack([(windows == c).sum(axis=1) for c in classes], axis=1)
+    tied = (counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1
+    return np.where(tied, last, classes[counts.argmax(axis=1)])
 
 
 def sliding_window(recording: Recording, spec: WindowSpec, start_index: int = 0) -> list[Frame]:
@@ -193,7 +223,8 @@ def sliding_window(recording: Recording, spec: WindowSpec, start_index: int = 0)
 
     Yields floor((L - T) / S) + 1 frames; a session shorter than one window
     yields none (warning logged).  ``chrono_index`` counts up from
-    ``start_index``, in window start order.
+    ``start_index``, in window start order.  Every ``Frame.data`` is a
+    read-only view into one (n, T, D) copy made for the whole session.
     """
     length = len(recording.samples)
     window, step = spec.window, spec.step
@@ -205,18 +236,14 @@ def sliding_window(recording: Recording, spec: WindowSpec, start_index: int = 0)
             window,
         )
         return []
-    frames = []
-    for k, start in enumerate(range(0, length - window + 1, step)):
-        sl = slice(start, start + window)
-        frames.append(
-            Frame(
-                data=recording.samples[sl].copy(),
-                label=_window_label(recording.labels[sl], spec.label_rule),
-                chrono_index=start_index + k,
-                session_id=recording.session_id,
-            )
-        )
-    return frames
+    views = sliding_window_view(recording.samples, window, axis=0)[::step]  # (n, D, T)
+    data = np.ascontiguousarray(views.transpose(0, 2, 1))
+    data.flags.writeable = False
+    labels = _window_labels(sliding_window_view(recording.labels, window)[::step], spec.label_rule)
+    return [
+        Frame(data=d, label=label, chrono_index=start_index + k, session_id=recording.session_id)
+        for k, (d, label) in enumerate(zip(data, labels.tolist()))
+    ]
 
 
 def build_frames(recordings: list[Recording], spec: WindowSpec) -> list[Frame]:

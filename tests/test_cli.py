@@ -301,6 +301,18 @@ def test_train_session_with_fewer_channels_exit_2(tmp_path, tiny_config, dataset
     assert f"{session.name}: 2 channels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ["inf", "1e300", "2.7", "-0.5"])
+def test_train_session_with_bad_label_exit_2(tmp_path, tiny_config, dataset, capsys, label):
+    session = sorted((tmp_path / "data").glob("session_*.csv"))[0]
+    lines = session.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + "," + label
+    session.write_text("\n".join(lines) + "\n")
+    code = main(["train", "--config", tiny_config, "--data", dataset,
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"{session.name}:6: label must be an integer" in capsys.readouterr().err
+
+
 def test_eval_normalizer_channel_count_mismatch_exit_2(tmp_path, tiny_config, dataset, capsys):
     checkpoint = write_run_dir(tmp_path / "run", '{"mean": [0, 0], "std": [1, 1]}')
     code = main(["eval", "--config", tiny_config, "--checkpoint", checkpoint, "--data", dataset])
@@ -408,3 +420,19 @@ def test_ablate_unknown_cell_exit_1(tmp_path, tiny_config, dataset):
         "--out", str(tmp_path / "abl"), "--cells", "everything",
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seeds", "0,x", "--seeds must be comma-separated integers, got '0,x'"),
+        ("--batch-sizes", "16,1.5", "--batch-sizes must be comma-separated integers"),
+        ("--cells", "full,everything", "unknown ablation cell 'everything'"),
+    ],
+)
+def test_ablate_bad_grid_exit_1_before_reading_data(tmp_path, capsys, flag, value, message):
+    # a missing data directory would exit 2, so exit 1 shows the grid is checked first
+    code = main(["ablate", "--data", "/nonexistent", "--out", str(tmp_path / "abl"), flag, value])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "abl").exists()

@@ -57,6 +57,11 @@ def test_load_drops_non_finite_rows(tmp_path, caplog):
     assert "dropped 1" in caplog.text
 
 
+def test_load_drops_non_finite_row_whatever_its_label_sign(tmp_path):
+    (tmp_path / "s0.csv").write_text("t,ch1,label\n0,1.0,0\n1,inf,-1\n")
+    np.testing.assert_array_equal(load_recordings(tmp_path)[0].labels, [0])
+
+
 def test_load_rejects_missing_label_column(tmp_path):
     (tmp_path / "s0.csv").write_text("t,ch1,ch2\n0,1.0,2.0\n")
     with pytest.raises(ParseError, match="s0.csv"):
@@ -66,6 +71,44 @@ def test_load_rejects_missing_label_column(tmp_path):
 def test_load_rejects_malformed_row_with_line_number(tmp_path):
     (tmp_path / "s0.csv").write_text("t,ch1,label\n0,1.0,0\n1,oops,1\n")
     with pytest.raises(ParseError, match="s0.csv:3"):
+        load_recordings(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "row, error, message",
+    [
+        ("nan,1.0,0", ParseError, "s0.csv:3: timestamp nan is not finite"),
+        ("inf,1.0,0", ParseError, "s0.csv:3: timestamp inf is not finite"),
+        ("1,1.0,inf", ParseError, "s0.csv:3: label must be an integer below 2\\*\\*63, got 'inf'"),
+        ("1,1.0,1e300", ParseError, "s0.csv:3: label must be an integer below 2\\*\\*63"),
+        ("1,1.0,2.7", ParseError, "s0.csv:3: label must be an integer below 2\\*\\*63, got '2.7'"),
+        ("1,1.0,-0.5", ParseError, "s0.csv:3: label must be an integer below 2\\*\\*63"),
+        # the label is checked on a row dropped for its channel value too
+        ("1,nan,2.5", ParseError, "s0.csv:3: label must be an integer"),
+        ("1,1.0,-1", DataError, "s0.csv:3: negative label -1"),
+        ("1,1.0", ParseError, "s0.csv:3: expected 3 fields, got 2"),
+        ("1,oops,1", ParseError, "s0.csv:3: could not convert string to float: 'oops'"),
+        ("1,1_0.5,1", ParseError, "s0.csv:3: could not convert string to float: '1_0.5'"),
+    ],
+    ids=["nan-t", "inf-t", "inf-label", "huge-label", "fractional-label", "negative-fraction",
+         "dropped-row-label", "negative-label", "field-count", "not-a-number", "underscore"],
+)
+def test_load_rejects_bad_row_naming_file_and_line(tmp_path, row, error, message):
+    # t = 2, <row>, 0: a bad timestamp or label would otherwise load unsorted or truncated
+    (tmp_path / "s0.csv").write_text(f"t,ch1,label\n2,1.0,0\n{row}\n0,3.0,1\n")
+    with pytest.raises(error, match=message):
+        load_recordings(tmp_path)
+
+
+def test_load_counts_blank_lines_and_reads_quoted_crlf_rows(tmp_path):
+    (tmp_path / "s0.csv").write_bytes(
+        b't,ch1,label\r\n\r\n"2", 1.5 ,"1.0"\r\n1,-0.25,2\r\n\r\n0,"1e3",0\r\n'
+    )
+    rec = load_recordings(tmp_path)[0]
+    np.testing.assert_array_equal(rec.samples[:, 0], [1e3, -0.25, 1.5])
+    np.testing.assert_array_equal(rec.labels, [0, 2, 1])
+    (tmp_path / "s0.csv").write_text("t,ch1,label\n\n0,1.0,0\n\n1,oops,1\n")
+    with pytest.raises(ParseError, match="s0.csv:5"):
         load_recordings(tmp_path)
 
 
