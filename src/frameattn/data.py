@@ -28,6 +28,8 @@ from .seeding import TAG_SYNTH, mix64
 
 log = logging.getLogger(__name__)
 
+MAX_CLASSES = 10_000  # bound on the class count (largest label + 1), far above HAR label sets
+
 
 @dataclass
 class Recording:
@@ -90,7 +92,7 @@ class NormStats:
 def load_recordings(path: str | Path) -> list[Recording]:
     """Read one Recording per ``*.csv`` session file, lexicographic order.
 
-    Format: a header ``t, ch1..chD, label``, then rows of exactly as many
+    Format (UTF-8): a header ``t, ch1..chD, label``, then rows of exactly as many
     comma-separated numbers, which may be quoted (``"1.5"``) and padded
     with spaces.  Blank lines are skipped but still count in an error's
     ``file:line``.  ``t`` must be finite; rows are sorted by it, stably.  A
@@ -116,7 +118,12 @@ def load_recordings(path: str | Path) -> list[Recording]:
         except (ValueError, TypeError) as e:
             raise DataError(f"malformed manifest {manifest}: {e}") from None
 
-    recordings = [_load_session(f, sample_rate) for f in files]
+    recordings = []
+    for f in files:
+        try:
+            recordings.append(_load_session(f, sample_rate))
+        except UnicodeDecodeError as e:
+            raise DataError(f"{f}: not UTF-8 text ({e.reason})") from None
     width = recordings[0].samples.shape[1]
     for f, rec in zip(files, recordings):
         if rec.samples.shape[1] != width:
@@ -126,7 +133,7 @@ def load_recordings(path: str | Path) -> list[Recording]:
 
 def _load_session(path: Path, sample_rate: float) -> Recording:
     """One ``np.loadtxt`` call per session; the row checks are array ops."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
@@ -157,7 +164,7 @@ def _load_session(path: Path, sample_rate: float) -> Recording:
 def _raise_first_bad_row(path: Path, width: int, reason: str) -> NoReturn:
     """Error reporting for a session the bulk parse rejected: the same rules
     row by row, raising at the first bad ``file:line``."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
         for lineno, row in enumerate(reader, start=2):
@@ -312,8 +319,11 @@ def prepare_splits(
                 f"the {name} split has no frames: its sessions are shorter than "
                 f"the {spec.window}-sample window"
             )
-    classes = int(max(r.labels.max() for r in recordings)) + 1
-    return DataSplits(**frames, stats=stats, classes=classes)
+    top = max(recordings, key=lambda r: r.labels.max())
+    label = int(top.labels.max())
+    if label >= MAX_CLASSES:
+        raise DataError(f"session '{top.session_id}': label {label} >= class bound {MAX_CLASSES}")
+    return DataSplits(**frames, stats=stats, classes=label + 1)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ down-weights easy examples:
     FL  = mean_b( -beta * (1 - p_t)^gamma * log p_t )
     L   = (1 - lam) * CE + lam * FL
 
-where p_t is the predicted probability of the true class.  Probabilities are
-clamped at 1e-12 before the log so the focal term stays finite as p_t -> 0.
+where p_t is the predicted probability of the true class.  The whole blend is
+one graph node, ``tensor.focal_cross_entropy``: it clamps p_t at
+``tensor.LOG_FLOOR`` (1e-12) before the log, so the loss and its gradient stay
+finite as p_t -> 0.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ class LossConfig:
             raise ConfigError(f"loss gamma must be >= 0, got {self.gamma}")
 
 
-def _true_class_probs(logits: Tensor, labels: np.ndarray) -> Tensor:
+def combined_loss(logits: Tensor, labels: np.ndarray, config: LossConfig) -> Tensor:
+    """(1 - lam) * cross-entropy + lam * focal, as one graph node."""
     if logits.ndim != 2:
         raise DataError(f"logits must be (batch, classes), got shape {logits.shape}")
     n, classes = logits.shape
@@ -55,30 +58,7 @@ def _true_class_probs(logits: Tensor, labels: np.ndarray) -> Tensor:
     if bad.any():
         i = int(np.argmax(bad))
         raise DataError(f"label {labels[i]} out of range [0, {classes}) at frame {i}")
-    onehot = np.zeros((n, classes))
-    onehot[np.arange(n), labels] = 1.0
-    probs = T.softmax(logits, axis=1)
-    return T.tsum(probs * Tensor(onehot), axis=1)
-
-
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-probability of the true class."""
-    p_t = _true_class_probs(logits, labels)
-    return T.tmean(-T.log(p_t))
-
-
-def focal_loss(logits: Tensor, labels: np.ndarray, beta: float = 0.25, gamma: float = 2.0) -> Tensor:
-    """Mean of -beta * (1 - p_t)^gamma * log(p_t)."""
-    p_t = _true_class_probs(logits, labels)
-    weight = (1.0 - p_t) ** float(gamma)
-    return T.tmean(-beta * weight * T.log(p_t))
-
-
-def combined_loss(logits: Tensor, labels: np.ndarray, config: LossConfig) -> Tensor:
-    """(1 - lam) * cross-entropy + lam * focal."""
-    ce = cross_entropy(logits, labels)
-    fl = focal_loss(logits, labels, beta=config.beta, gamma=config.gamma)
-    return (1.0 - config.lam) * ce + config.lam * fl
+    return T.focal_cross_entropy(logits, labels, config.lam, config.beta, config.gamma)
 
 
 @dataclass

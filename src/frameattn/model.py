@@ -16,8 +16,9 @@ Heads and experts are slices of stacked parameters, not separate ones: each
 attention stage keeps its query/key/value projections in one (d, 3d)
 matrix (``inter.wqkv``, ``mh.wqkv``), and the E experts live in
 (E, d, d) weights and (E, 1, d) biases (``moe.w1``/``b1``/``w2``/``b2``).
-Across-frame and multi-head attention share one batched implementation,
-``self_attention``; the across-frame stage is its one-head case.
+Across-frame and multi-head attention are each one ``T.attention`` node on
+the packed projection ``x @ wqkv``, with its hand-written backward; the
+across-frame stage is the one-head case.
 
 Stages can be switched off via ``ModelConfig.disabled``; a disabled stage
 passes the appropriate operand through unchanged, which is how the ablation
@@ -162,26 +163,11 @@ def intra_attention(feats: Tensor, params: dict) -> tuple[Tensor, Tensor]:
     return pooled, weights
 
 
-def self_attention(x: Tensor, wqkv: Tensor, heads: int) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product attention among the rows of x (B, d), all heads in
-    one batched matmul: head i reads columns i*d_head:(i+1)*d_head of each of
-    the query, key and value blocks of ``wqkv`` (d, 3d).  Returns the head
-    outputs side by side (B, d) and the (heads, B, B) weights."""
-    batch, d = x.shape
-    d_head = d // heads
-    qkv = (x @ wqkv).reshape(batch, 3, heads, d_head).transpose((1, 2, 0, 3))
-    q, k, v = qkv[0], qkv[1], qkv[2]
-    scores = (q @ k.transpose((0, 2, 1))) * (1.0 / math.sqrt(d_head))
-    weights = T.softmax(scores, axis=2)
-    out = (weights @ v).transpose((1, 0, 2)).reshape(batch, d)
-    return out, weights
-
-
 def inter_attention(x: Tensor, params: dict) -> tuple[Tensor, Tensor]:
     """Single-head scaled dot-product attention across the frames of the
     batch; returns the (B, d) summaries and the (B, B) weights."""
-    out, weights = self_attention(x, params["inter.wqkv"], 1)
-    return out, weights[0]
+    out, weights = T.attention(x @ params["inter.wqkv"], 1)
+    return out, Tensor(weights[0])
 
 
 def combine_attention(a_inter: Tensor, a_intra: Tensor, alpha: Tensor) -> Tensor:
@@ -199,8 +185,8 @@ def multi_head_attention(x: Tensor, params: dict, cfg: ModelConfig) -> tuple[Ten
     """h parallel scaled dot-product attentions over the batch, concatenated
     and output-projected; returns the (B, d) output and the (h, B, B)
     weights."""
-    out, weights = self_attention(x, params["mh.wqkv"], cfg.heads)
-    return out @ params["mh.wo"], weights
+    out, weights = T.attention(x @ params["mh.wqkv"], cfg.heads)
+    return out @ params["mh.wo"], Tensor(weights)
 
 
 def gate_values(x_att: Tensor, params: dict) -> Tensor:
@@ -244,7 +230,7 @@ class AttentionModel:
         return rng.uniform(-bound, bound, size=shape)
 
     def _qkv(self, rng: np.random.Generator, heads: int) -> np.ndarray:
-        """(d, 3d) query/key/value projection in the layout ``self_attention``
+        """(d, 3d) query/key/value projection in the layout ``T.attention``
         reads.  Drawn head by head, each head's q, k and v (d, d_head) in
         turn, as (heads, 3, d, d_head)."""
         d = self.cfg.d_model

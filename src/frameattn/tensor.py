@@ -11,6 +11,10 @@ tensors reused on several paths come out right: a leaf made with
 ``requires_grad=True`` owns a zeroed buffer, and an intermediate gets its
 gradient on first accumulation.
 
+Besides elementwise, reduction and shape ops there are three fused nodes with
+hand-written backward rules: ``conv1d_same``, ``attention`` (all heads of
+scaled dot-product attention) and ``focal_cross_entropy`` (the training loss).
+
 Broadcasting follows numpy; the backward side sums gradients over broadcast
 dimensions.  Everything is float64: at the sizes this package targets the
 precision is worth far more than the speed, and it is what makes tight
@@ -20,6 +24,7 @@ finite-difference tolerances achievable.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -106,9 +111,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, exponent: float):
-        return pow_const(self, exponent)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -322,49 +324,87 @@ def relu(a: Tensor) -> Tensor:
     return _node(np.maximum(a.data, 0.0), (a,), rule)
 
 
-def log(a: Tensor) -> Tensor:
-    """Natural log with the argument clamped to >= LOG_FLOOR.
-
-    Below the floor the derivative is defined as 0 (the clamped branch is
-    constant), which keeps backward finite for degenerate probabilities.
-    """
-    a = _as_tensor(a)
-    clamped = np.maximum(a.data, LOG_FLOOR)
-
-    def rule(g):
-        _acc(a, np.where(a.data > LOG_FLOOR, 1.0 / clamped, 0.0) * g)
-
-    return _node(np.log(clamped), (a,), rule)
-
-
-def pow_const(a: Tensor, exponent: float) -> Tensor:
-    """Elementwise x**c for a python-float exponent; subgradient 0 at kinks."""
-    a = _as_tensor(a)
-    c = float(exponent)
-
-    def rule(g):
-        if c == 0.0:
-            return
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = c * a.data ** (c - 1.0)
-        _acc(a, np.where(np.isfinite(d), d, 0.0) * g)
-
-    return _node(a.data**c, (a,), rule)
+def _softmax(z: Array, axis: int) -> Array:
+    """Exponentials normalized along ``axis``, max-subtracted for stability."""
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
-    """Exponentials normalized along ``axis``, max-subtracted for stability."""
     a = _as_tensor(a)
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax: axis {axis} out of range for shape {a.shape}")
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(a.data, axis)
 
     def rule(g):
         _acc(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
     return _node(y, (a,), rule)
+
+
+def attention(qkv: Tensor, heads: int) -> tuple[Tensor, Array]:
+    """Scaled dot-product attention among the B rows of a packed projection
+    qkv (B, 3d) of query, key and value blocks; head i reads columns
+    i*d_head:(i+1)*d_head of each.  One node, returning the (B, d) head
+    outputs and, as a plain array, the (heads, B, B) weights P.  Backward as
+    in Dao et al., 2022 (arXiv:2205.14135): dV = P^T dO, dP = dO V^T,
+    dS = P * (dP - rowsum(dP * P)) * scale, dQ = dS K and dK = (Q^T dS)^T."""
+    qkv = _as_tensor(qkv)
+    if qkv.ndim != 2 or heads < 1 or qkv.shape[1] % (3 * heads) != 0:
+        raise ShapeError(f"attention: {qkv.shape} is not (B, 3d) with d divisible by {heads} heads")
+    batch, d = qkv.shape[0], qkv.shape[1] // 3
+    d_head = d // heads
+    scale = 1.0 / math.sqrt(d_head)
+    q, k, v = qkv.data.reshape(batch, 3, heads, d_head).transpose(1, 2, 0, 3).copy()
+    kt = k.transpose(0, 2, 1).copy()
+    p = _softmax((q @ kt) * scale, axis=2)
+    out = (p @ v).transpose(1, 0, 2).reshape(batch, d)
+
+    def rule(g):
+        g_out = g.reshape(batch, heads, d_head).transpose(1, 0, 2)
+        g_p = g_out @ np.swapaxes(v, -1, -2)
+        g_s = p * (g_p - (g_p * p).sum(axis=2, keepdims=True)) * scale
+        g_qkv = np.empty((3, heads, batch, d_head))
+        # dQ and dK as matmul's own rule on q @ kt computes them, operand
+        # layouts included, so they round exactly like separate matmul ops
+        g_qkv[0] = g_s @ np.swapaxes(kt, -1, -2)
+        g_qkv[1] = np.swapaxes(np.swapaxes(q, -1, -2) @ g_s, -1, -2)
+        g_qkv[2] = np.swapaxes(p, -1, -2) @ g_out
+        _acc(qkv, g_qkv.transpose(2, 0, 1, 3).reshape(batch, 3 * d))
+
+    return _node(out, (qkv,), rule), p
+
+
+def focal_cross_entropy(
+    logits: Tensor, labels: Array, lam: float, beta: float, gamma: float
+) -> Tensor:
+    """Mean over rows of (1 - lam) * CE + lam * FL with CE = -log p_t and
+    FL = -beta * (1 - p_t)^gamma * log p_t, p_t the softmax probability of the
+    row's label (in range: not checked here).  The log clamps p_t at
+    LOG_FLOOR, with derivative 0 below it, and a non-finite
+    (1 - p_t)^(gamma - 1) counts as 0, so backward stays finite."""
+    logits = _as_tensor(logits)
+    n = logits.shape[0]
+    rows = np.arange(n)
+    probs = _softmax(logits.data, axis=1)
+    p_t = probs[rows, labels]
+    clamped = np.maximum(p_t, LOG_FLOOR)
+    log_p = np.log(clamped)
+    weight = (1.0 - p_t) ** gamma
+    ce = (-log_p).sum() * (1.0 / n)  # means as sum times 1/n, as in tmean
+    fl = ((weight * -beta) * log_p).sum() * (1.0 / n)
+
+    def rule(g):
+        inv_p = np.where(p_t > LOG_FLOOR, 1.0 / clamped, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d_weight = gamma * (1.0 - p_t) ** (gamma - 1.0)
+        d_weight = np.where(np.isfinite(d_weight), d_weight, 0.0)
+        d_p = lam * beta * d_weight * log_p - ((1.0 - lam) + lam * beta * weight) * inv_p
+        d_logits = -probs * p_t[:, None]
+        d_logits[rows, labels] += p_t
+        _acc(logits, d_logits * (d_p * (g / n))[:, None])
+
+    return _node(ce * (1.0 - lam) + fl * lam, (logits,), rule)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -471,7 +511,7 @@ def backward(loss: Tensor) -> None:
 
     _acc(loss, np.ones_like(loss.data))
     for node in reversed(order):
-        if node._rule is not None and node.grad is not None:
+        if node._rule is not None:
             node._rule(node.grad)
 
 

@@ -277,9 +277,17 @@ def train(
     best_epoch = -1
     classes = model_cfg.classes
 
-    def record(rec: dict, fh) -> None:
+    def record(epoch: int, split: str, report: MetricsReport, loss: float) -> None:
+        rec = {
+            "epoch": epoch,
+            "split": split,
+            "mean_f1": report.mean_f1,
+            "per_class_f1": [float(v) for v in report.per_class_f1],
+            "loss": loss,
+            "strategy": cfg.strategy,
+        }
         history.append(rec)
-        fh.write(json.dumps(rec) + "\n")
+        mfh.write(json.dumps(rec) + "\n")
 
     plans_cm = open(plans_path, "w") if dump_plans else contextlib.nullcontext()
     with open(metrics_path, "w") as mfh, plans_cm as pfh:
@@ -312,31 +320,9 @@ def train(
                 loss_sum += value * len(batch)
                 acc.update(trace.logits.data.argmax(axis=1), labels)
 
-            train_report = acc.report()
-            record(
-                {
-                    "epoch": epoch,
-                    "split": "train",
-                    "mean_f1": train_report.mean_f1,
-                    "per_class_f1": [float(v) for v in train_report.per_class_f1],
-                    "loss": loss_sum / max(1, len(train_frames)),
-                    "strategy": cfg.strategy,
-                },
-                mfh,
-            )
-
+            record(epoch, "train", acc.report(), loss_sum / max(1, len(train_frames)))
             val_loss, val_report = evaluate(model, val_frames, cfg.batch_size, cfg.loss, classes)
-            record(
-                {
-                    "epoch": epoch,
-                    "split": "val",
-                    "mean_f1": val_report.mean_f1,
-                    "per_class_f1": [float(v) for v in val_report.per_class_f1],
-                    "loss": val_loss,
-                    "strategy": cfg.strategy,
-                },
-                mfh,
-            )
+            record(epoch, "val", val_report, val_loss)
             opt.lr = sched.step(val_loss)
 
             if val_report.mean_f1 > best_f1:
@@ -349,17 +335,7 @@ def train(
         test_loss, test_report = evaluate(
             best_model, test_frames, cfg.batch_size, cfg.loss, classes
         )
-        record(
-            {
-                "epoch": best_epoch,
-                "split": "test",
-                "mean_f1": test_report.mean_f1,
-                "per_class_f1": [float(v) for v in test_report.per_class_f1],
-                "loss": test_loss,
-                "strategy": cfg.strategy,
-            },
-            mfh,
-        )
+        record(best_epoch, "test", test_report, test_loss)
 
     return TrainResult(
         history=history,

@@ -313,6 +313,28 @@ def test_train_session_with_bad_label_exit_2(tmp_path, tiny_config, dataset, cap
     assert f"{session.name}:6: label must be an integer" in capsys.readouterr().err
 
 
+def test_train_huge_label_exit_2(tmp_path, tiny_config, dataset, capsys):
+    session = sorted((tmp_path / "data").glob("session_*.csv"))[0]
+    lines = session.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",1e15"
+    session.write_text("\n".join(lines) + "\n")
+    code = main(["train", "--config", tiny_config, "--data", dataset,
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"session '{session.stem}': label 1000000000000000" in err
+    assert ">= class bound 10000" in err
+
+
+def test_train_non_utf8_session_exit_2(tmp_path, tiny_config, dataset, capsys):
+    session = sorted((tmp_path / "data").glob("session_*.csv"))[0]
+    session.write_bytes(session.read_bytes().replace(b"\n", b"\xff\n", 1))
+    code = main(["train", "--config", tiny_config, "--data", dataset,
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"{session.name}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_eval_normalizer_channel_count_mismatch_exit_2(tmp_path, tiny_config, dataset, capsys):
     checkpoint = write_run_dir(tmp_path / "run", '{"mean": [0, 0], "std": [1, 1]}')
     code = main(["eval", "--config", tiny_config, "--checkpoint", checkpoint, "--data", dataset])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frameattn.data import (
+    MAX_CLASSES,
     Frame,
     NormStats,
     Recording,
@@ -115,6 +116,20 @@ def test_load_counts_blank_lines_and_reads_quoted_crlf_rows(tmp_path):
 def test_load_rejects_empty_file(tmp_path):
     (tmp_path / "s0.csv").write_text("t,ch1,label\n")
     with pytest.raises(DataError):
+        load_recordings(tmp_path)
+
+
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_load_rejects_non_utf8_session_naming_file(tmp_path, where):
+    # the body's bad byte sits past the first buffered read, so the header
+    # decodes and the bulk parse meets it
+    rows = "".join(f"{i},0.5,1\n" for i in range(3000)).encode()
+    if where == "header":
+        content = b"t,ch\xff1,label\n" + rows
+    else:
+        content = b"t,ch1,label\n" + rows + b"3000,0.\xff5,1\n"
+    (tmp_path / "s0.csv").write_bytes(content)
+    with pytest.raises(DataError, match=r"s0\.csv: not UTF-8 text"):
         load_recordings(tmp_path)
 
 
@@ -291,6 +306,16 @@ def test_prepare_splits_rejects_split_without_frames(short):
     recs = [make_recording(10 if i == short else 40, session=f"s{i}") for i in range(3)]
     name = ["train", "val", "test"][short]
     with pytest.raises(DataError, match=f"the {name} split has no frames"):
+        prepare_splits(recs, WindowSpec(window=16, step=8))
+
+
+def test_prepare_splits_bounds_the_class_count():
+    recs = [make_recording(40, session=f"s{i}") for i in range(3)]
+    recs[1].labels[7] = MAX_CLASSES - 1
+    assert prepare_splits(recs, WindowSpec(window=16, step=8)).classes == MAX_CLASSES
+    recs[1].labels[7] = MAX_CLASSES
+    message = f"session 's1': label {MAX_CLASSES} >= class bound {MAX_CLASSES}$"
+    with pytest.raises(DataError, match=message):
         prepare_splits(recs, WindowSpec(window=16, step=8))
 
 

@@ -7,15 +7,26 @@ from hypothesis import strategies as st
 
 from frameattn import tensor as T
 from frameattn.errors import ConfigError, DataError
-from frameattn.losses import (
-    LossConfig,
-    MetricsAccumulator,
-    combined_loss,
-    cross_entropy,
-    focal_loss,
-    mean_f1,
-)
-from frameattn.tensor import Tensor, gradcheck
+from frameattn.losses import LossConfig, MetricsAccumulator, combined_loss, mean_f1
+from frameattn.tensor import LOG_FLOOR, Tensor, backward, gradcheck
+
+CE = LossConfig(lam=0.0)
+
+
+def focal(beta=0.25, gamma=2.0):
+    return LossConfig(lam=1.0, beta=beta, gamma=gamma)
+
+
+def numpy_loss(logits, labels, cfg):
+    """The loss in numpy with the loss node's op order (means as sum times
+    1/n, the focal term as (-beta * w) * log p_t), so values match bit for bit."""
+    n = len(labels)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p_t = (e / e.sum(axis=1, keepdims=True))[np.arange(n), labels]
+    log_p = np.log(np.maximum(p_t, 1e-12))
+    ce = (-log_p).sum() * (1.0 / n)
+    fl = (((1.0 - p_t) ** cfg.gamma * -cfg.beta) * log_p).sum() * (1.0 / n)
+    return ce * (1.0 - cfg.lam) + fl * cfg.lam
 
 
 def brute_force_mean_f1(predictions, labels, classes):
@@ -35,7 +46,7 @@ def brute_force_mean_f1(predictions, labels, classes):
 
 def test_cross_entropy_uniform_logits():
     logits = Tensor(np.zeros((3, 4)))
-    loss = cross_entropy(logits, np.array([0, 1, 2]))
+    loss = combined_loss(logits, np.array([0, 1, 2]), CE)
     assert abs(loss.item() - math.log(4)) < 1e-12
     assert abs(loss.item() - 1.386294) < 1e-6
 
@@ -45,7 +56,7 @@ def test_cross_entropy_confident_correct_goes_to_zero():
     for scale in (1.0, 5.0, 20.0):
         logits = np.zeros((1, 3))
         logits[0, 2] = scale
-        losses.append(cross_entropy(Tensor(logits), np.array([2])).item())
+        losses.append(combined_loss(Tensor(logits), np.array([2]), CE).item())
     assert losses[0] > losses[1] > losses[2]
     assert losses[2] < 1e-8
 
@@ -53,20 +64,20 @@ def test_cross_entropy_confident_correct_goes_to_zero():
 def test_cross_entropy_two_class_derived():
     # softmax([0, ln 3]) = [0.25, 0.75]; -log(0.75)
     logits = Tensor(np.array([[0.0, math.log(3.0)]]))
-    loss = cross_entropy(logits, np.array([1]))
+    loss = combined_loss(logits, np.array([1]), CE)
     assert abs(loss.item() - (-math.log(0.75))) < 1e-12
     assert abs(loss.item() - 0.287682) < 1e-6
 
 
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(DataError, match="frame 1"):
-        cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 5]))
+        combined_loss(Tensor(np.zeros((2, 3))), np.array([0, 5]), CE)
 
 
 def test_focal_loss_zero_when_certain():
     logits = np.zeros((1, 2))
     logits[0, 0] = 60.0
-    assert focal_loss(Tensor(logits), np.array([0])).item() < 1e-12
+    assert combined_loss(Tensor(logits), np.array([0]), focal()).item() < 1e-12
 
 
 def test_focal_collapses_to_cross_entropy():
@@ -74,15 +85,15 @@ def test_focal_collapses_to_cross_entropy():
     for _ in range(5):
         logits = rng.normal(size=(8, 5))
         labels = rng.integers(0, 5, size=8)
-        fl = focal_loss(Tensor(logits), labels, beta=1.0, gamma=0.0).item()
-        ce = cross_entropy(Tensor(logits), labels).item()
+        fl = combined_loss(Tensor(logits), labels, focal(beta=1.0, gamma=0.0)).item()
+        ce = combined_loss(Tensor(logits), labels, CE).item()
         assert abs(fl - ce) < 1e-12
 
 
 def test_focal_loss_direct_arithmetic():
     # p_t = 0.5, beta 0.25, gamma 2 -> 0.25 * 0.25 * ln 2
     logits = Tensor(np.array([[0.0, 0.0]]))
-    loss = focal_loss(Tensor(logits.data), np.array([0]), beta=0.25, gamma=2.0)
+    loss = combined_loss(logits, np.array([0]), focal(beta=0.25, gamma=2.0))
     expected = 0.25 * 0.25 * math.log(2.0)
     assert abs(loss.item() - expected) < 1e-12
     assert abs(loss.item() - 0.043322) < 1e-6
@@ -92,12 +103,55 @@ def test_combined_loss_endpoints():
     rng = np.random.default_rng(1)
     logits = rng.normal(size=(6, 4))
     labels = rng.integers(0, 4, size=6)
-    ce = cross_entropy(Tensor(logits), labels).item()
-    fl = focal_loss(Tensor(logits), labels).item()
+    n = len(labels)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p_t = (e / e.sum(axis=1, keepdims=True))[np.arange(n), labels]
+    ce = (-np.log(p_t)).sum() * (1.0 / n)
+    fl = (((1.0 - p_t) ** 2.0 * -0.25) * np.log(p_t)).sum() * (1.0 / n)
     at0 = combined_loss(Tensor(logits), labels, LossConfig(lam=0.0)).item()
     at1 = combined_loss(Tensor(logits), labels, LossConfig(lam=1.0)).item()
     assert at0 == ce
     assert at1 == fl
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+def test_combined_loss_bit_identical_to_numpy_formula(lam, gamma):
+    rng = np.random.default_rng(int(10 * lam + gamma * 100))
+    for scale in (1.0, 30.0):
+        logits = rng.normal(scale=scale, size=(17, 6))
+        labels = rng.integers(0, 6, size=17)
+        cfg = LossConfig(lam=lam, beta=0.4, gamma=gamma)
+        loss = combined_loss(Tensor(logits), labels, cfg)
+        assert loss.shape == ()
+        assert loss.item() == numpy_loss(logits, labels, cfg)
+
+
+def test_loss_log_clamps_at_floor():
+    # a logit gap of 40 puts p_t near e^-40 ~ 4e-18 and a gap of 1e6 at
+    # exactly 0, both below the floor: the loss is the floor value and the
+    # gradient stays finite
+    floor = -math.log(LOG_FLOOR)
+    for lam in (0.0, 0.5, 1.0):
+        for gap in (40.0, 1e6):
+            logits = Tensor(np.array([[0.0, gap], [gap, 0.0]]), requires_grad=True)
+            cfg = LossConfig(lam=lam, beta=0.25, gamma=2.0)
+            loss = combined_loss(logits, np.array([0, 1]), cfg)
+            backward(loss)
+            assert loss.item() == (1.0 - lam) * floor + lam * 0.25 * floor
+            assert np.isfinite(logits.grad).all()
+            if lam == 0.0:  # the clamped log is constant below the floor
+                np.testing.assert_array_equal(logits.grad, 0.0)
+
+
+def test_focal_gradient_finite_when_certain():
+    # p_t rounds to 1, where (1 - p_t)^(gamma - 1) is infinite for gamma < 1;
+    # that factor counts as 0
+    for gamma in (0.5, 2.0):
+        logits = Tensor(np.array([[60.0, 0.0], [0.0, 0.3]]), requires_grad=True)
+        backward(combined_loss(logits, np.array([0, 1]), focal(gamma=gamma)))
+        assert np.isfinite(logits.grad).all()
+        assert abs(logits.grad[0, 0]) < 1e-20
 
 
 def test_combined_loss_affine_in_lambda():

@@ -450,3 +450,21 @@ def test_gradcheck_through_backbone_input():
         return T.tsum(feats * feats)
 
     assert gradcheck(f, frames) < 1e-6
+
+
+def test_train_step_records_58_graph_nodes():
+    # pins the graph size of one training step (2 conv blocks, dropout on):
+    # each attention stage and the whole loss are one node apiece
+    m = AttentionModel(tiny_cfg(dropout=0.1), seed=0)
+    rng = np.random.default_rng(0)
+    trace = m.forward(random_frames(6, seed=26), training=True, rng=rng)
+    loss = combined_loss(trace.logits, rng.integers(0, 4, size=6), LossConfig())
+    reached, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in reached:
+            reached[id(t)] = t
+            stack.extend(p for p in t._parents if p.requires_grad)
+    leaves = [t for t in reached.values() if t._rule is None]
+    assert sorted(map(id, leaves)) == sorted(map(id, m.params.values()))
+    assert len(reached) - len(leaves) == 58

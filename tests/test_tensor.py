@@ -1,3 +1,8 @@
+import ast
+import inspect
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -167,11 +172,25 @@ def test_gradcheck_softmax_composite():
     assert err < 1e-6
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_gradcheck_every_op_on_random_inputs(seed):
+def every_op_cases(seed):
+    """A (5, 7) input and scalar functions of it that reach every op."""
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(5, 7)))
     w = rng.normal(size=(7, 4))
+    rng_const = Tensor(rng.normal(size=(5, 7)))
+    stack = rng.normal(size=(3, 7, 4))
+    lhs_stack = rng.normal(size=(3, 4, 5))
+    permuted_const = Tensor(rng.normal(size=(7, 1, 5)))
+    conv_w = rng.normal(size=(3, 7, 2))
+    conv_cot = Tensor(rng.normal(size=(1, 5, 2)))
+    conv_x = rng.normal(size=(2, 4, 7))
+    wqkv = Tensor(rng.normal(size=(7, 12)))
+    attn_cot = Tensor(rng.normal(size=(5, 4)))
+    labels = rng.integers(0, 7, size=5)
+
+    def sq(u):
+        return T.tsum(u * u)
+
     cases = [
         lambda t: T.tsum(t + rng_const),
         lambda t: T.tsum(t * t),
@@ -179,7 +198,7 @@ def test_gradcheck_every_op_on_random_inputs(seed):
         lambda t: T.tsum(t @ Tensor(w)),
         lambda t: T.tsum(t.transpose() * 2.0),
         lambda t: T.tsum(t @ Tensor(stack)),
-        lambda t: T.tsum((Tensor(lhs_stack) @ t) ** 2.0),
+        lambda t: sq(Tensor(lhs_stack) @ t),
         lambda t: T.tsum(t.reshape(5, 7, 1).transpose((1, 2, 0)) * permuted_const),
         lambda t: T.tsum(t.reshape(7, 5)),
         lambda t: T.tsum(t[1:4, 2:6]),
@@ -188,22 +207,57 @@ def test_gradcheck_every_op_on_random_inputs(seed):
         lambda t: T.tsum(T.tanh(t)),
         lambda t: T.tsum(T.sigmoid(t)),
         lambda t: T.tsum(T.relu(t + 0.1)),
-        lambda t: T.tsum(T.log(T.sigmoid(t) + 0.5)),
-        lambda t: T.tsum((T.sigmoid(t) + 0.5) ** 2.0),
+        lambda t: sq(T.sigmoid(t) + 0.5),
         lambda t: T.tsum(T.softmax(t, axis=1) * t),
         lambda t: T.tsum(T.concat([t, t * 2.0], axis=1)),
         lambda t: T.tsum(T.conv1d_same(t.reshape(1, 5, 7), Tensor(conv_w)) * conv_cot),
-        lambda t: T.tsum(T.conv1d_same(Tensor(conv_x), t.reshape(5, 7, 1)) ** 2.0),
+        lambda t: sq(T.conv1d_same(Tensor(conv_x), t.reshape(5, 7, 1))),
+        lambda t: T.tsum(T.dropout(t, 0.5, True, np.random.default_rng(seed)) * t),
     ]
-    rng_const = Tensor(rng.normal(size=(5, 7)))
-    stack = rng.normal(size=(3, 7, 4))
-    lhs_stack = rng.normal(size=(3, 4, 5))
-    permuted_const = Tensor(rng.normal(size=(7, 1, 5)))
-    conv_w = rng.normal(size=(3, 7, 2))
-    conv_cot = Tensor(rng.normal(size=(1, 5, 2)))
-    conv_x = rng.normal(size=(2, 4, 7))
+    cases += [
+        lambda t, h=h: T.tsum(T.attention(t @ wqkv, h)[0] * attn_cot) for h in (1, 4)
+    ]
+    cases += [
+        lambda t, lam=lam, gamma=gamma: T.focal_cross_entropy(t, labels, lam, 0.7, gamma)
+        for lam in (0.0, 0.3, 1.0)
+        for gamma in (0.0, 0.5, 2.0)
+    ]
+    return x, cases
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_gradcheck_every_op_on_random_inputs(seed):
+    x, cases = every_op_cases(seed)
     for f in cases:
         assert gradcheck(f, x) < 1e-6
+
+
+def test_every_node_op_has_a_gradcheck_case(monkeypatch):
+    # every function of the tensor module that builds a graph node must be
+    # reached by a case of the every-op gradcheck
+    tree = ast.parse(inspect.getsource(T))
+    node_ops = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == "_node"
+            for c in ast.walk(fn)
+        )
+    }
+    assert {"add", "matmul", "attention", "focal_cross_entropy"} <= node_ops
+    reached = set()
+    node = T._node
+
+    def recording_node(*args):
+        reached.add(sys._getframe(1).f_code.co_name)
+        return node(*args)
+
+    monkeypatch.setattr(T, "_node", recording_node)
+    x, cases = every_op_cases(0)
+    for f in cases:
+        f(x)
+    assert node_ops <= reached, f"no gradcheck case for {sorted(node_ops - reached)}"
 
 
 def test_no_nan_inf_from_finite_inputs():
@@ -212,14 +266,8 @@ def test_no_nan_inf_from_finite_inputs():
         T.softmax(extremes, axis=0),
         T.sigmoid(extremes),
         T.tanh(extremes),
-        T.log(Tensor([0.0, 1e-300, 1.0])),
     ):
         assert np.isfinite(out.data).all()
-
-
-def test_log_clamps_at_floor():
-    out = T.log(Tensor([0.0]))
-    np.testing.assert_allclose(out.data, np.log(1e-12))
 
 
 def test_no_grad_blocks_graph_recording():
@@ -238,12 +286,6 @@ def test_backward_fault_hook_corrupts_named_op_only(scale_tanh_backward):
     corrupted = gradcheck(lambda t: T.tsum(T.tanh(t) * t), x)
     assert clean < 1e-6
     assert corrupted > 1e-3
-
-
-def test_backward_skips_nodes_that_receive_no_gradient():
-    x = Tensor([1.0, -2.0], requires_grad=True)
-    backward(T.tsum((x * 2.0) ** 0.0))
-    np.testing.assert_array_equal(x.grad, [0.0, 0.0])
 
 
 def test_gradcheck_intermediate_with_shared_gradient_arrays():
@@ -311,3 +353,38 @@ def test_conv1d_same_rejects_even_kernel_and_channel_mismatch():
         T.conv1d_same(x, Tensor(np.zeros((4, 3, 5))))
     with pytest.raises(ShapeError, match=r"\(2, 6, 3\).*\(3, 2, 5\)"):
         T.conv1d_same(x, Tensor(np.zeros((3, 2, 5))))
+
+
+def composed_attention(qkv, heads):
+    """The attention graph of elementary ops that ``T.attention`` replaces."""
+    batch, d = qkv.shape[0], qkv.shape[1] // 3
+    d_head = d // heads
+    packed = qkv.reshape(batch, 3, heads, d_head).transpose((1, 2, 0, 3))
+    q, k, v = packed[0], packed[1], packed[2]
+    weights = T.softmax((q @ k.transpose((0, 2, 1))) * (1.0 / math.sqrt(d_head)), axis=2)
+    return (weights @ v).transpose((1, 0, 2)).reshape(batch, d), weights
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_matches_composed_graph(heads):
+    # outputs, weights and the gradients of both operands of x @ wqkv
+    rng = np.random.default_rng(40 + heads)
+    x0, w0 = rng.normal(size=(9, 8)), rng.normal(size=(8, 24))
+    cot = Tensor(rng.normal(size=(9, 8)))
+    results = []
+    for op in (composed_attention, T.attention):
+        x, wqkv = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+        out, weights = op(x @ wqkv, heads)
+        backward(T.tsum(out * cot))
+        weights = weights.data if isinstance(weights, Tensor) else weights
+        results.append((out.data, weights, x.grad, wqkv.grad))
+    for ref, got in zip(*results):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(results[1][1].sum(axis=2), 1.0, atol=1e-12)
+
+
+def test_attention_rejects_bad_packing():
+    with pytest.raises(ShapeError, match=r"\(3, 12\).*3 heads"):
+        T.attention(Tensor(np.zeros((3, 12))), 3)
+    with pytest.raises(ShapeError, match=r"\(3, 4, 12\)"):
+        T.attention(Tensor(np.zeros((3, 4, 12))), 1)
