@@ -16,9 +16,10 @@ Heads and experts are slices of stacked parameters, not separate ones: each
 attention stage keeps its query/key/value projections in one (d, 3d)
 matrix (``inter.wqkv``, ``mh.wqkv``), and the E experts live in
 (E, d, d) weights and (E, 1, d) biases (``moe.w1``/``b1``/``w2``/``b2``).
-Across-frame and multi-head attention are each one ``T.attention`` node on
-the packed projection ``x @ wqkv``, with its hand-written backward; the
-across-frame stage is the one-head case.
+Each conv block (convolution along time, bias and ReLU) is one
+``T.conv1d_relu`` node.  Across-frame and multi-head attention are each one
+``T.attention`` node on the packed projection ``x @ wqkv``; the across-frame
+stage is the one-head case.  All three have hand-written backward rules.
 
 Stages can be switched off via ``ModelConfig.disabled``; a disabled stage
 passes the appropriate operand through unchanged, which is how the ablation
@@ -132,32 +133,29 @@ def positional_encoding(d_model: int, positions: np.ndarray) -> np.ndarray:
     return pe
 
 
-def conv_block(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Same-padded conv along time + ReLU: x (B,T,Cin), w (k,Cin,Cout), b (1,1,Cout).
-
-    One ``conv1d_same`` node (an im2col matmul) plus the bias and ReLU.
-    """
-    return T.relu(T.conv1d_same(x, w) + b)
-
-
 def backbone_features(frames: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
-    """Per-timestep features (B, T, d_model) from the conv stack."""
+    """Per-timestep features (B, T, d_model) from the conv stack, one
+    ``T.conv1d_relu`` node (same-padded conv along time, bias, ReLU) per
+    block."""
     feats = frames
     for i in range(cfg.conv_blocks):
-        feats = conv_block(feats, params[f"backbone.conv{i}.w"], params[f"backbone.conv{i}.b"])
+        feats = T.conv1d_relu(
+            feats, params[f"backbone.conv{i}.w"], params[f"backbone.conv{i}.b"]
+        )
     return feats
 
 
 def intra_attention(feats: Tensor, params: dict) -> tuple[Tensor, Tensor]:
     """Attention-pool the timesteps of each frame into one vector.
 
-    Scores per timestep are w2 . tanh(w1 . x_t + b1) + b2; the softmax runs
-    over the timesteps of a frame.
+    Scores per timestep are w2 . tanh(w1 . x_t + b1); the softmax runs over
+    the timesteps of a frame.  A bias on the scores would shift every
+    timestep's score alike and so could not change the weights.
     """
     batch, steps, d = feats.shape
     flat = feats.reshape(batch * steps, d)
     hidden = T.tanh(flat @ params["intra.w1"] + params["intra.b1"])
-    scores = (hidden @ params["intra.w2"] + params["intra.b2"]).reshape(batch, steps)
+    scores = (hidden @ params["intra.w2"]).reshape(batch, steps)
     weights = T.softmax(scores, axis=1)
     pooled = T.tsum(weights.reshape(batch, steps, 1) * feats, axis=1)
     return pooled, weights
@@ -253,7 +251,6 @@ class AttentionModel:
         self._add("intra.w1", self._matrix(rng, (d, h_a), d), decay=True)
         self._add("intra.b1", np.zeros((1, h_a)), decay=False)
         self._add("intra.w2", self._matrix(rng, (h_a, 1), h_a), decay=True)
-        self._add("intra.b2", np.zeros((1, 1)), decay=False)
         self._add("inter.wqkv", self._qkv(rng, 1), decay=True)
         self._add("blend.alpha", np.zeros((1, 1)), decay=False)
         self._add("cat.w", self._matrix(rng, (2 * d, d), 2 * d), decay=True)

@@ -12,8 +12,9 @@ tensors reused on several paths come out right: a leaf made with
 gradient on first accumulation.
 
 Besides elementwise, reduction and shape ops there are three fused nodes with
-hand-written backward rules: ``conv1d_same``, ``attention`` (all heads of
-scaled dot-product attention) and ``focal_cross_entropy`` (the training loss).
+hand-written backward rules: ``conv1d_relu`` (a conv block: convolution
+along time, bias and ReLU), ``attention`` (all heads of scaled dot-product
+attention) and ``focal_cross_entropy`` (the training loss).
 
 Broadcasting follows numpy; the backward side sums gradients over broadcast
 dimensions.  Everything is float64: at the sizes this package targets the
@@ -96,10 +97,10 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -179,6 +180,22 @@ def add(a, b) -> Tensor:
             _acc(a, g)
         if b.requires_grad:
             _acc(b, g)
+
+    return _node(data, (a, b), rule)
+
+
+def sub(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    try:
+        data = a.data - b.data
+    except ValueError as e:
+        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}") from e
+
+    def rule(g):
+        if a.requires_grad:
+            _acc(a, g)
+        if b.requires_grad:
+            _acc(b, -g)
 
     return _node(data, (a, b), rule)
 
@@ -431,39 +448,63 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _node(data, tuple(parts), rule)
 
 
-def conv1d_same(x: Tensor, w: Tensor) -> Tensor:
-    """Zero-padded convolution along time, x (B, T, Cin) and w (k, Cin, Cout)
-    with odd k to (B, T, Cout): out[:, t] = sum_j xpad[:, t + j] @ w[j].
+def _im2col(a: Array, k: int) -> Array:
+    """(B, T, C) -> (B*T, k*C): row (b, t) holds a[b, t + j - (k - 1) // 2]
+    for taps j = 0..k-1, zero where that index falls outside 0..T-1."""
+    batch, steps, c = a.shape
+    pad = (k - 1) // 2
+    padded = np.zeros((batch, steps + 2 * pad, c))
+    padded[:, pad : pad + steps] = a
+    windows = sliding_window_view(padded, k, axis=1)  # (B, T, C, k)
+    # at B = 1 the reshape is a view with overlapping rows, which matmul
+    # runs outside BLAS and may round differently: copy it
+    return np.ascontiguousarray(windows.transpose(0, 1, 3, 2).reshape(batch * steps, k * c))
 
-    im2col (Chellapilla et al., 2006): one (B*T, k*Cin) @ (k*Cin, Cout) matmul
-    forward; one matmul per operand plus k shifted adds backward."""
-    x, w = _as_tensor(x), _as_tensor(w)
-    if x.ndim != 3 or w.ndim != 3 or w.shape[0] % 2 == 0 or x.shape[2] != w.shape[1]:
+
+def conv1d_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """relu(conv + b): zero-padded convolution along time of x (B, T, Cin)
+    with w (k, Cin, Cout), odd k, plus bias b (1, 1, Cout), to (B, T, Cout):
+    out[:, t] = relu(b + sum_j x[:, t + j - (k - 1) // 2] @ w[j]).
+
+    im2col (Chellapilla et al., 2006) with the bias and activation fused in,
+    as in cuDNN (Chetlur et al., 2014): forward is one (B*T, k*Cin) @
+    (k*Cin, Cout) matmul.  Backward masks the output gradient by out > 0,
+    and then dW is one matmul against the kept columns and dx is one matmul
+    of the masked gradient's columns against the flipped, transposed kernel."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if (
+        x.ndim != 3
+        or w.ndim != 3
+        or w.shape[0] % 2 == 0
+        or x.shape[2] != w.shape[1]
+        or b.shape != (1, 1, w.shape[2])
+    ):
         raise ShapeError(
-            f"conv1d_same: need x (B, T, Cin) and w (k, Cin, Cout) with odd k, "
-            f"got {x.shape} and {w.shape}"
+            f"conv1d_relu: need x (B, T, Cin), w (k, Cin, Cout) with odd k and "
+            f"b (1, 1, Cout), got {x.shape}, {w.shape} and {b.shape}"
         )
     batch, steps, c_in = x.shape
     k, _, c_out = w.shape
-    pad = (k - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (0, 0)))
-    windows = sliding_window_view(xp, k, axis=1)  # (B, T, Cin, k)
-    cols = windows.transpose(0, 1, 3, 2).reshape(batch * steps, k * c_in)
-    w2 = w.data.reshape(k * c_in, c_out)
+    cols = _im2col(x.data, k)
+    out = cols @ w.data.reshape(k * c_in, c_out)
+    out += b.data[0, 0]
+    np.maximum(out, 0.0, out=out)
+    out = out.reshape(batch, steps, c_out)
 
     def rule(g):
+        g = g * (out > 0.0)
         g2 = g.reshape(batch * steps, c_out)
+        if b.requires_grad:
+            _acc(b, g2.sum(axis=0).reshape(b.data.shape))
+        # dW and dx take the operand orders measured fastest at d_model 128
         if w.requires_grad:
-            _acc(w, (cols.T @ g2).reshape(w.data.shape))
+            _acc(w, (g2.T @ cols).T.reshape(w.data.shape))
         if x.requires_grad:
-            gcols = (g2 @ w2.T).reshape(batch, steps, k, c_in)
-            gx = np.zeros_like(xp)
-            # last tap first: the order autodiff over per-tap slices sums in
-            for j in reversed(range(k)):
-                gx[:, j : j + steps] += gcols[:, :, j]
-            _acc(x, gx[:, pad : pad + steps])
+            w_flip = w.data[::-1].transpose(0, 2, 1).reshape(k * c_out, c_in)
+            gx = (w_flip.T @ _im2col(g, k).T).T
+            _acc(x, gx.reshape(batch, steps, c_in))
 
-    return _node((cols @ w2).reshape(batch, steps, c_out), (x, w), rule)
+    return _node(out, (x, w, b), rule)
 
 
 def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:

@@ -452,9 +452,10 @@ def test_gradcheck_through_backbone_input():
     assert gradcheck(f, frames) < 1e-6
 
 
-def test_train_step_records_58_graph_nodes():
+def test_train_step_graph_node_count():
     # pins the graph size of one training step (2 conv blocks, dropout on):
-    # each attention stage and the whole loss are one node apiece
+    # each conv block, each attention stage and the whole loss are one node
+    # apiece
     m = AttentionModel(tiny_cfg(dropout=0.1), seed=0)
     rng = np.random.default_rng(0)
     trace = m.forward(random_frames(6, seed=26), training=True, rng=rng)
@@ -467,4 +468,4 @@ def test_train_step_records_58_graph_nodes():
             stack.extend(p for p in t._parents if p.requires_grad)
     leaves = [t for t in reached.values() if t._rule is None]
     assert sorted(map(id, leaves)) == sorted(map(id, m.params.values()))
-    assert len(reached) - len(leaves) == 58
+    assert len(reached) - len(leaves) == 51

@@ -1,10 +1,13 @@
 import ast
 import inspect
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frameattn import tensor as T
 from frameattn.errors import ConfigError, ShapeError
@@ -187,6 +190,9 @@ def every_op_cases(seed):
     wqkv = Tensor(rng.normal(size=(7, 12)))
     attn_cot = Tensor(rng.normal(size=(5, 4)))
     labels = rng.integers(0, 7, size=5)
+    conv_b = Tensor(rng.normal(size=(1, 1, 2)))
+    conv_b1 = Tensor(rng.normal(size=(1, 1, 1)))
+    conv_x2, conv_w2 = Tensor(rng.normal(size=(2, 3, 2))), Tensor(rng.normal(size=(3, 2, 35)))
 
     def sq(u):
         return T.tsum(u * u)
@@ -210,8 +216,12 @@ def every_op_cases(seed):
         lambda t: sq(T.sigmoid(t) + 0.5),
         lambda t: T.tsum(T.softmax(t, axis=1) * t),
         lambda t: T.tsum(T.concat([t, t * 2.0], axis=1)),
-        lambda t: T.tsum(T.conv1d_same(t.reshape(1, 5, 7), Tensor(conv_w)) * conv_cot),
-        lambda t: sq(T.conv1d_same(Tensor(conv_x), t.reshape(5, 7, 1))),
+        lambda t: T.tsum((t - rng_const) * t),
+        lambda t: sq(rng_const - t * 2.0),
+        lambda t: sq(t - t[0:1]),
+        lambda t: T.tsum(T.conv1d_relu(t.reshape(1, 5, 7), Tensor(conv_w), conv_b) * conv_cot),
+        lambda t: sq(T.conv1d_relu(Tensor(conv_x), t.reshape(5, 7, 1), conv_b1)),
+        lambda t: sq(T.conv1d_relu(conv_x2, conv_w2, t.reshape(1, 1, 35))),
         lambda t: T.tsum(T.dropout(t, 0.5, True, np.random.default_rng(seed)) * t),
     ]
     cases += [
@@ -245,7 +255,7 @@ def test_every_node_op_has_a_gradcheck_case(monkeypatch):
             for c in ast.walk(fn)
         )
     }
-    assert {"add", "matmul", "attention", "focal_cross_entropy"} <= node_ops
+    assert {"add", "sub", "matmul", "conv1d_relu", "attention", "focal_cross_entropy"} <= node_ops
     reached = set()
     node = T._node
 
@@ -308,51 +318,92 @@ def test_gradcheck_intermediate_with_shared_gradient_arrays():
     assert gradcheck(g, x) < 1e-6
 
 
+def test_sub_matches_add_of_negation_bit_for_bit():
+    # x - y is x + (-y) in IEEE arithmetic: values and both gradients,
+    # with broadcasting on either side
+    rng = np.random.default_rng(12)
+    a0, b0, cot = rng.normal(size=(4, 3)), rng.normal(size=(1, 3)), Tensor(rng.normal(size=(4, 3)))
+    results = []
+    for op in (lambda a, b: a + (-b), T.sub):
+        a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+        out = op(a, b)
+        backward(T.tsum(out * cot) + T.tsum(op(b, a) * cot))
+        results.append((out.data, a.grad, b.grad))
+    for ref, got in zip(*results):
+        np.testing.assert_array_equal(got, ref)
+    with pytest.raises(ShapeError, match=r"sub.*\(2, 3\).*\(4, 3\)"):
+        T.sub(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))))
+
+
 @pytest.mark.parametrize("k", [1, 3, 5])
-def test_conv1d_same_matches_per_tap_loop(k):
+def test_conv1d_relu_matches_per_tap_loop(k):
     rng = np.random.default_rng(k)
     batch, steps, c_in, c_out = 2, 6, 3, 4
     x = rng.normal(size=(batch, steps, c_in))
     w = rng.normal(size=(k, c_in, c_out))
-    expect = np.zeros((batch, steps, c_out))
+    b = rng.normal(size=(1, 1, c_out))
+    expect = np.zeros((batch, steps, c_out)) + b
     for t in range(steps):
         for j in range(k):
             src = t + j - k // 2  # taps past either end read zero padding
             if 0 <= src < steps:
                 expect[:, t] += x[:, src] @ w[j]
-    out = T.conv1d_same(Tensor(x), Tensor(w))
+    expect = np.maximum(expect, 0.0)
+    assert 0 < (expect > 0).sum() < expect.size
+    out = T.conv1d_relu(Tensor(x), Tensor(w), Tensor(b))
     np.testing.assert_allclose(out.data, expect, rtol=1e-12, atol=1e-12)
 
 
-def test_conv1d_same_is_bit_identical_to_composed_ops():
-    # the pad + per-tap slice + concat + matmul graph it replaces, values,
-    # input gradient and weight gradient alike
-    rng = np.random.default_rng(11)
-    x0, w0 = rng.normal(size=(3, 9, 4)), rng.normal(size=(5, 4, 6))
-    cot = Tensor(rng.normal(size=(3, 9, 6)))
+def composed_conv_relu(x, w, b):
+    """The per-tap slice, matmul, bias and ReLU graph ``T.conv1d_relu`` replaces."""
+    batch, steps, c_in = x.shape
+    k, _, c_out = w.shape
+    zeros = Tensor(np.zeros((batch, k // 2, c_in)))
+    xp = T.concat([zeros, x, zeros], axis=1)
+    cols = T.concat([xp[:, j : j + steps, :] for j in range(k)], axis=2)
+    out = cols.reshape(batch * steps, k * c_in) @ w.reshape(k * c_in, c_out)
+    return T.relu(out.reshape(batch, steps, c_out) + b)
 
-    def composed(x, w):
-        zeros = Tensor(np.zeros((3, 2, 4)))
-        xp = T.concat([zeros, x, zeros], axis=1)
-        cols = T.concat([xp[:, j : j + 9, :] for j in range(5)], axis=2).reshape(27, 20)
-        return (cols @ w.reshape(20, 6)).reshape(3, 9, 6)
 
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 4),
+    steps=st.integers(1, 7),
+    c_in=st.integers(1, 5),
+    c_out=st.integers(1, 5),
+    k=st.sampled_from([1, 3, 5, 7, 9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv1d_relu_matches_composed_graph(batch, steps, c_in, c_out, k, seed):
+    # the same matmul call, so values are bit-identical; dx and dW are one
+    # matmul each rather than per-tap sums, so gradients round differently
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=(batch, steps, c_in))
+    w0 = rng.normal(size=(k, c_in, c_out))
+    b0 = rng.normal(size=(1, 1, c_out))
+    cot = Tensor(rng.normal(size=(batch, steps, c_out)))
     results = []
-    for op in (composed, T.conv1d_same):
-        x, w = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
-        out = op(x, w)
+    for op in (composed_conv_relu, T.conv1d_relu):
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+        out = op(x, w, b)
         backward(T.tsum(out * cot))
-        results.append((out.data, x.grad, w.grad))
-    for ref, got in zip(*results):
-        np.testing.assert_array_equal(got, ref)
+        results.append((out.data, x.grad, w.grad, b.grad))
+    (ref_out, *ref_grads), (got_out, *got_grads) = results
+    np.testing.assert_array_equal(got_out, ref_out)
+    for ref, got in zip(ref_grads, got_grads):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_conv1d_same_rejects_even_kernel_and_channel_mismatch():
+def test_conv1d_relu_rejects_bad_shapes():
     x = Tensor(np.zeros((2, 6, 3)))
+    b = Tensor(np.zeros((1, 1, 5)))
     with pytest.raises(ShapeError, match=r"odd k.*\(4, 3, 5\)"):
-        T.conv1d_same(x, Tensor(np.zeros((4, 3, 5))))
+        T.conv1d_relu(x, Tensor(np.zeros((4, 3, 5))), b)
     with pytest.raises(ShapeError, match=r"\(2, 6, 3\).*\(3, 2, 5\)"):
-        T.conv1d_same(x, Tensor(np.zeros((3, 2, 5))))
+        T.conv1d_relu(x, Tensor(np.zeros((3, 2, 5))), b)
+    for bias in ((1, 5), (1, 1, 4), (2, 1, 5)):
+        with pytest.raises(ShapeError, match=r"\(3, 3, 5\).*" + re.escape(str(bias))):
+            T.conv1d_relu(x, Tensor(np.zeros((3, 3, 5))), Tensor(np.zeros(bias)))
 
 
 def composed_attention(qkv, heads):

@@ -227,6 +227,18 @@ def test_load_state_name_mismatch():
         m.load_state(arrays)
 
 
+def test_load_state_rejects_checkpoint_with_intra_b2(tmp_path):
+    # the intra-attention score bias is gone (the softmax over timesteps is
+    # shift-invariant); a checkpoint that still holds it is not this model's
+    m = small_model()
+    arrays = m.state_arrays()
+    arrays["intra.b2"] = np.zeros((1, 1))
+    path = tmp_path / "old.bin"
+    checkpoint_save(arrays, path)
+    with pytest.raises(CheckpointError, match=r"unexpected \['intra.b2'\]"):
+        m.load_state(checkpoint_load(path))
+
+
 # evaluation
 
 
