@@ -5,11 +5,17 @@ flags and ``--set section.key=value``.  The defaults are the field defaults
 of ``ModelConfig``, ``SynthConfig``, ``TrainConfig`` and ``LossConfig``; only
 the [data] section and ``model.disable`` are listed here.  The config file
 is INI-style (``key = value`` under [model]/[data]/[synthetic]/[train]/[loss]
-sections) or a ``run_config.json``, whose seed replaces ``--seed``.  Every
-run echoes its fully resolved configuration to ``run_config.json`` in the
-output directory, and ``eval`` loads the one beside its checkpoint.  Exit
+sections) or a ``run_config.json``, whose seed replaces ``--seed``.  Exit
 codes: 0 success, 1 configuration or checkpoint error, 2 data error,
 3 numeric abort.
+
+A run directory holds ``run_config.json`` (the resolved configuration),
+``normalizer.json`` (train-split channel stats), ``metrics.jsonl``,
+``checkpoint.bin`` and, with ``--dump-plan``, ``plans.jsonl``; ``eval``
+needs only the checkpoint's directory and the data.  ``train`` writes one
+run directory and ``ablate`` one per grid point and seed.  An ablation cell
+is a set of config overrides (``COMPONENT_CELLS``), merged over the run's
+configuration after the grid point's strategy and batch size.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import itertools
 import json
 import statistics
 import sys
@@ -51,7 +58,7 @@ from .model import (
     parameter_gradcheck_report,
     tiny_gradcheck_config,
 )
-from .training import TrainConfig, checkpoint_load, evaluate, train
+from .training import TrainConfig, TrainResult, checkpoint_load, evaluate, train
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -80,18 +87,19 @@ DEFAULTS = {
     "loss": _field_defaults(LossConfig),
 }
 
-# Component ablation presets mirroring the five-row component study
-# (baseline / intra / inter / both / full) plus a frame-isolated reference.
-# Non-full presets train with plain cross-entropy (focal disabled).
+# Component ablation cells, as config overrides, mirroring the five-row
+# component study (baseline / intra / inter / both / full) plus a
+# frame-isolated reference.  baseline to both train with plain cross-entropy.
+_CROSS_ENTROPY = {"loss": {"lam": "0"}}
 COMPONENT_CELLS = {
-    "baseline": {"disable": "intra,inter,pe,moe,gate,focal"},
-    "intra": {"disable": "inter,pe,moe,gate,focal"},
-    "inter": {"disable": "intra,moe,gate,focal"},
-    "both": {"disable": "moe,gate,focal"},
-    "full": {"disable": ""},
+    "baseline": {"model": {"disable": "intra,inter,pe,moe,gate"}, **_CROSS_ENTROPY},
+    "intra": {"model": {"disable": "inter,pe,moe,gate"}, **_CROSS_ENTROPY},
+    "inter": {"model": {"disable": "intra,moe,gate"}, **_CROSS_ENTROPY},
+    "both": {"model": {"disable": "moe,gate"}, **_CROSS_ENTROPY},
+    "full": {"model": {"disable": ""}},
     # No positional or across-frame pathways, batches shuffled: the model
     # sees every frame in isolation.
-    "isolated": {"disable": "inter,pe,gate", "strategy": SHUFFLED},
+    "isolated": {"model": {"disable": "inter,pe,gate"}, "train": {"strategy": SHUFFLED}},
 }
 
 
@@ -189,18 +197,13 @@ class RunConfig:
                 given[f.name] = self.value(section, f.name, f.type)
         return cls(**given)
 
-    @property
-    def disable_flags(self) -> set[str]:
-        return {v.strip() for v in self.sections["model"]["disable"].split(",") if v.strip()}
-
     def train_config(self) -> TrainConfig:
-        focal_off = {"lam": 0.0} if "focal" in self.disable_flags else {}
         return self.build(
             TrainConfig,
             "train",
             strategy=_normalize_strategy(self.sections["train"]["strategy"]),
             seed=self.seed,
-            loss=self.build(LossConfig, "loss", **focal_off),
+            loss=self.build(LossConfig, "loss"),
         )
 
     def resolved(self) -> dict:
@@ -248,18 +251,14 @@ def _model_config_for(run: RunConfig, splits: DataSplits) -> ModelConfig:
         window_len=run.value("data", "window", "int"),
         channels=splits.stats.mean.size,
         classes=splits.classes,
-        disabled=frozenset(run.disable_flags - {"focal"}),
+        disabled=frozenset(v.strip() for v in run.sections["model"]["disable"].split(",")
+                           if v.strip()),
     )
 
 
 def _write_normalizer(stats: NormStats, out_dir: Path) -> None:
-    (out_dir / "normalizer.json").write_text(
-        json.dumps(
-            {"mean": [float(v) for v in stats.mean], "std": [float(v) for v in stats.std]},
-            indent=2,
-        )
-        + "\n"
-    )
+    obj = {"mean": stats.mean.tolist(), "std": stats.std.tolist()}
+    (out_dir / "normalizer.json").write_text(json.dumps(obj, indent=2) + "\n")
 
 
 def _read_normalizer(path: Path) -> NormStats:
@@ -271,6 +270,8 @@ def _read_normalizer(path: Path) -> NormStats:
         std = np.array(obj["std"], dtype=np.float64)
         if mean.ndim != 1 or mean.shape != std.shape:
             raise ValueError(f"mean {mean.shape} and std {std.shape} are not equal-length lists")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise ValueError("mean and std must be finite and std positive")
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"malformed normalizer stats {path}: {e!r}") from None
     return NormStats(mean=mean, std=std)
@@ -283,35 +284,28 @@ def cmd_datagen(args: argparse.Namespace) -> int:
     )
     recordings = generate_synthetic(cfg)
     out = Path(args.out)
-    manifest = {
-        "seed": cfg.seed,
-        "sample_rate": 1.0,
-        "config": asdict(cfg),
-        "sessions": [r.session_id for r in recordings],
-    }
-    write_sessions(recordings, out, manifest)
+    sessions = [r.session_id for r in recordings]
+    write_sessions(recordings, out, {"seed": cfg.seed, "config": asdict(cfg), "sessions": sessions})
     run.write_resolved(out)
     print(f"wrote {len(recordings)} sessions to {out}")
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    run = RunConfig.load(args.config, _overrides_from_args(args), args.seed)
-    splits = _load_splits(args.data, run)
+def _train_run(run: RunConfig, splits: DataSplits, out: Path, dump_plans=False) -> TrainResult:
+    """Train one run into the run directory ``out``.  Both configs are built,
+    and so checked, before any file is written."""
     model_cfg = _model_config_for(run, splits)
     train_cfg = run.train_config()
-    out = Path(args.out)
     run.write_resolved(out)
     _write_normalizer(splits.stats, out)
-    result = train(
-        model_cfg,
-        splits.train,
-        splits.val,
-        splits.test,
-        train_cfg,
-        out,
-        dump_plans=args.dump_plan,
+    return train(
+        model_cfg, splits.train, splits.val, splits.test, train_cfg, out, dump_plans=dump_plans
     )
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    run = RunConfig.load(args.config, _overrides_from_args(args), args.seed)
+    result = _train_run(run, _load_splits(args.data, run), Path(args.out), args.dump_plan)
     print(
         f"best epoch {result.best_epoch} (val mean F1 {result.best_val_f1:.4f}); "
         f"test mean F1 {result.test_report.mean_f1:.4f}"
@@ -362,15 +356,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    cfg = tiny_gradcheck_config()
-    rows = parameter_gradcheck_report(cfg, LossConfig(lam=0.5), seed=args.seed)
-    failed = []
+    rows = parameter_gradcheck_report(tiny_gradcheck_config(), LossConfig(lam=0.5), seed=args.seed)
     print(f"{'block':18s} max-rel-error")
     for name, err in rows:
-        status = "ok" if err < GRADCHECK_TOLERANCE else "FAIL"
-        print(f"{name:18s} {err:.3e}  {status}")
-        if err >= GRADCHECK_TOLERANCE:
-            failed.append(name)
+        print(f"{name:18s} {err:.3e}  {'ok' if err < GRADCHECK_TOLERANCE else 'FAIL'}")
+    failed = [name for name, err in rows if err >= GRADCHECK_TOLERANCE]
     if failed:
         print(f"gradient check FAILED for: {', '.join(failed)}")
         return 1
@@ -383,6 +373,56 @@ def _int_list(flag: str, text: str) -> list[int]:
         return [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"{flag} must be comma-separated integers, got '{text}'") from None
+
+
+def ablate(run: RunConfig, splits: DataSplits, cells: list[str], strategies: list[str],
+           batch_sizes: list[int], seeds: list[int], out: Path) -> list[dict]:
+    """Train each grid point once per seed and return one row per point.
+
+    A point merges its strategy and batch size, then its cell's overrides,
+    over ``run``; points that resolve alike (a cell that pins its strategy)
+    train once.  Each seed's run directory is
+    ``out/<cell>_<strategy>_b<batch size>_s<seed>``.  A failing seed ends
+    its point, whose row then says why.
+    """
+    points: dict[tuple[str, str, int], dict] = {}
+    for cell, strategy, bs in itertools.product(cells, strategies, batch_sizes):
+        sections = {s: dict(v) for s, v in run.sections.items()}
+        _merge(sections, {"train": {"strategy": strategy, "batch_size": bs}}, "the ablation grid")
+        _merge(sections, COMPONENT_CELLS[cell], f"ablation cell '{cell}'")
+        points.setdefault((cell, sections["train"]["strategy"], bs), sections)
+
+    rows = []
+    for (cell, strategy, bs), sections in points.items():
+        scores, status, message = [], "ok", ""
+        for seed in seeds:
+            cell_out = out / f"{cell}_{strategy}_b{bs}_s{seed}"
+            try:
+                result = _train_run(RunConfig(sections, seed), splits, cell_out)
+                scores.append(result.test_report.mean_f1)
+            except FrameAttnError as e:
+                status, message = "failed", str(e)
+                print(f"cell {cell}/{strategy}/b{bs} seed {seed} failed: {e}", file=sys.stderr)
+                break
+        f1_mean = statistics.mean(scores) if scores else float("nan")
+        f1_std = statistics.pstdev(scores) if len(scores) > 1 else 0.0
+        rows.append(
+            {
+                "cell": cell,
+                "strategy": strategy,
+                "batch_size": bs,
+                "disable": sections["model"]["disable"],
+                "seeds": ";".join(str(s) for s in seeds),
+                "status": status,
+                "f1_mean": f"{f1_mean:.6f}" if scores else "",
+                "f1_std": f"{f1_std:.6f}" if scores else "",
+                "f1_per_seed": ";".join(f"{s:.6f}" for s in scores),
+                "message": message,
+            }
+        )
+        if status == "ok":
+            print(f"cell {cell}/{strategy}/b{bs}: mean F1 {f1_mean:.4f} +- {f1_std:.4f}")
+    return rows
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
@@ -400,73 +440,12 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         raise ConfigError("ablation grid must have at least one cell/strategy/batch size/seed")
     splits = _load_splits(args.data, run)
     out = Path(args.out)
+    rows = ablate(run, splits, cells, strategies, batch_sizes, seeds, out)
+
     out.mkdir(parents=True, exist_ok=True)
-    run.write_resolved(out)
-
-    grid = []
-    seen = set()
-    for cell in cells:
-        preset = COMPONENT_CELLS[cell]
-        for strategy in strategies:
-            eff_strategy = preset.get("strategy", strategy)
-            for bs in batch_sizes:
-                key = (cell, eff_strategy, bs)
-                if key not in seen:
-                    seen.add(key)
-                    grid.append(key)
-
-    rows = []
-    for cell, strategy, bs in grid:
-        preset = COMPONENT_CELLS[cell]
-        scores = []
-        status = "ok"
-        message = ""
-        for seed in seeds:
-            cell_run = RunConfig(
-                {s: dict(v) for s, v in run.sections.items()}, seed
-            )
-            cell_run.sections["model"]["disable"] = preset["disable"]
-            cell_run.sections["train"]["strategy"] = strategy
-            cell_run.sections["train"]["batch_size"] = str(bs)
-            cell_out = out / f"{cell}_{strategy}_b{bs}_s{seed}"
-            try:
-                model_cfg = _model_config_for(cell_run, splits)
-                result = train(
-                    model_cfg,
-                    splits.train,
-                    splits.val,
-                    splits.test,
-                    cell_run.train_config(),
-                    cell_out,
-                )
-                scores.append(result.test_report.mean_f1)
-            except FrameAttnError as e:
-                status = "failed"
-                message = str(e)
-                print(f"cell {cell}/{strategy}/b{bs} seed {seed} failed: {e}", file=sys.stderr)
-                break
-        f1_mean = statistics.mean(scores) if scores else float("nan")
-        f1_std = statistics.pstdev(scores) if len(scores) > 1 else 0.0
-        rows.append(
-            {
-                "cell": cell,
-                "strategy": strategy,
-                "batch_size": bs,
-                "disable": preset["disable"],
-                "seeds": ";".join(str(s) for s in seeds),
-                "status": status,
-                "f1_mean": f"{f1_mean:.6f}" if scores else "",
-                "f1_std": f"{f1_std:.6f}" if scores else "",
-                "f1_per_seed": ";".join(f"{s:.6f}" for s in scores),
-                "message": message,
-            }
-        )
-        if status == "ok":
-            print(f"cell {cell}/{strategy}/b{bs}: mean F1 {f1_mean:.4f} +- {f1_std:.4f}")
-
     table_path = out / "ablation.csv"
     with open(table_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {table_path}")
@@ -502,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--strategy")
-    p.add_argument("--disable", help="comma list: intra,inter,pe,moe,gate,focal")
+    p.add_argument("--disable", help="comma list: intra,inter,pe,moe,gate")
     p.add_argument("--heads", type=int)
     p.add_argument("--experts", type=int)
     p.add_argument("--d-model", dest="d_model", type=int)
@@ -534,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-sizes", dest="batch_sizes", default="128")
     p.add_argument("--seeds", default="0,1,2")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--lr", type=float)
     p.set_defaults(func=cmd_ablate)
 

@@ -38,7 +38,6 @@ class Recording:
     session_id: str
     samples: np.ndarray
     labels: np.ndarray
-    sample_rate: float = 1.0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -107,21 +106,10 @@ def load_recordings(path: str | Path) -> list[Recording]:
     files = sorted(root.glob("*.csv"))
     if not files:
         raise DataError(f"no .csv session files in {root}")
-    sample_rate = 1.0
-    manifest = root / "manifest.json"
-    if manifest.is_file():
-        try:
-            obj = json.loads(manifest.read_text())
-            if not isinstance(obj, dict):
-                raise ValueError("top level is not an object")
-            sample_rate = float(obj.get("sample_rate", 1.0))
-        except (ValueError, TypeError) as e:
-            raise DataError(f"malformed manifest {manifest}: {e}") from None
-
     recordings = []
     for f in files:
         try:
-            recordings.append(_load_session(f, sample_rate))
+            recordings.append(_load_session(f))
         except UnicodeDecodeError as e:
             raise DataError(f"{f}: not UTF-8 text ({e.reason})") from None
     width = recordings[0].samples.shape[1]
@@ -131,7 +119,7 @@ def load_recordings(path: str | Path) -> list[Recording]:
     return recordings
 
 
-def _load_session(path: Path, sample_rate: float) -> Recording:
+def _load_session(path: Path) -> Recording:
     """One ``np.loadtxt`` call per session; the row checks are array ops."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -158,7 +146,7 @@ def _load_session(path: Path, sample_rate: float) -> Recording:
     if not len(rows):
         raise DataError(f"no usable data rows in {path}")
     rows = rows[np.argsort(t[rows], kind="stable")]
-    return Recording(path.stem, channels[rows], labels[rows].astype(np.int64), sample_rate)
+    return Recording(path.stem, channels[rows], labels[rows].astype(np.int64))
 
 
 def _raise_first_bad_row(path: Path, width: int, reason: str) -> NoReturn:
@@ -209,7 +197,6 @@ def apply_normalizer(recording: Recording, stats: NormStats) -> Recording:
         session_id=recording.session_id,
         samples=(recording.samples - stats.mean) / stats.std,
         labels=recording.labels.copy(),
-        sample_rate=recording.sample_rate,
     )
 
 
@@ -466,14 +453,7 @@ def generate_synthetic(cfg: SynthConfig) -> list[Recording]:
             samples[pos:end] = wave + rng.normal(0.0, cfg.noise, size=(end - pos, cfg.channels))
             labels[pos:end] = cls
             pos = end
-        recordings.append(
-            Recording(
-                session_id=f"session_{s:02d}",
-                samples=samples,
-                labels=labels,
-                sample_rate=1.0,
-            )
-        )
+        recordings.append(Recording(session_id=f"session_{s:02d}", samples=samples, labels=labels))
     return recordings
 
 

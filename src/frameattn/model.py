@@ -284,6 +284,8 @@ class AttentionModel:
                 raise CheckpointError(
                     f"shape mismatch for '{name}': checkpoint {arr.shape} vs model {p.data.shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"non-finite value in parameter '{name}'")
         for name, p in self.params.items():
             p.data[...] = arrays[name]
 

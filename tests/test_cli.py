@@ -4,10 +4,19 @@ import json
 import numpy as np
 import pytest
 
-from frameattn.cli import DEFAULTS, RunConfig, _overrides_from_args, build_parser, main
+from frameattn.cli import (
+    COMPONENT_CELLS,
+    DEFAULTS,
+    RunConfig,
+    _load_splits,
+    _overrides_from_args,
+    ablate,
+    build_parser,
+    main,
+)
 from frameattn.data import SynthConfig, WindowSpec
 from frameattn.model import ModelConfig
-from frameattn.training import TrainConfig
+from frameattn.training import TrainConfig, checkpoint_load, checkpoint_save
 
 TINY_CONFIG = """
 [model]
@@ -132,19 +141,24 @@ def test_train_disable_flags_build_baseline(tmp_path, tiny_config, dataset):
     run_dir = tmp_path / "run"
     code = main([
         "train", "--config", tiny_config, "--data", dataset, "--out", str(run_dir),
-        "--disable", "intra,inter,pe,moe,gate,focal", "--heads", "2",
+        "--disable", "intra,inter,pe,moe,gate", "--lam", "0", "--heads", "2",
     ])
     assert code == 0
     resolved = json.loads((run_dir / "run_config.json").read_text())
-    assert resolved["model"]["disable"] == "intra,inter,pe,moe,gate,focal"
+    assert resolved["model"]["disable"] == "intra,inter,pe,moe,gate"
+    assert resolved["loss"]["lam"] == "0.0"
 
 
-def test_train_unknown_disable_flag_exit_1(tmp_path, tiny_config, dataset):
-    code = main([
-        "train", "--config", tiny_config, "--data", dataset,
-        "--out", str(tmp_path / "run"), "--disable", "warp",
-    ])
-    assert code == 1
+def test_train_unknown_disable_flag_exit_1(tmp_path, tiny_config, dataset, capsys):
+    # "focal" is not a stage: plain cross-entropy is --lam 0
+    for flag in ("warp", "focal"):
+        code = main([
+            "train", "--config", tiny_config, "--data", dataset,
+            "--out", str(tmp_path / "run"), "--disable", flag,
+        ])
+        assert code == 1
+        assert f"unknown disable flags: ['{flag}']" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_dump_plan_writes_partition(tmp_path, tiny_config, dataset):
@@ -192,6 +206,13 @@ def test_flags_override_config_keys_by_dest():
     assert ov["data"] == {"step": "4"}
     assert ov["loss"] == {"lam": "0.1"}
     assert ov["train"] == ov["synthetic"] == {}
+
+
+def test_ablate_batch_size_flag_sets_the_grid_batch_sizes():
+    # ablate has no --batch-size of its own: the grid sets every cell's batch size
+    args = build_parser().parse_args(["ablate", "--data", "d", "--out", "o", "--batch-size", "8"])
+    assert args.batch_sizes == "8"
+    assert "batch_size" not in vars(args)
 
 
 def test_defaults_keys_are_unique_across_sections():
@@ -272,23 +293,21 @@ def write_run_dir(run_dir, normalizer: str, checkpoint: bytes = b"") -> str:
 
 @pytest.mark.parametrize(
     "normalizer",
-    ["{not json", '{"mean": [0, 0, 0]}', '{"mean": [[0, 0], [0]], "std": [1, 1, 1]}'],
-    ids=["bad-json", "missing-std", "ragged-mean"],
+    [
+        "{not json",
+        '{"mean": [0, 0, 0]}',
+        '{"mean": [[0, 0], [0]], "std": [1, 1, 1]}',
+        '{"mean": [0, 0, 0], "std": [1, 0, 1]}',
+        '{"mean": [0, 0, 0], "std": [1, -1, 1]}',
+        '{"mean": [0, NaN, 0], "std": [1, 1, 1]}',
+    ],
+    ids=["bad-json", "missing-std", "ragged-mean", "zero-std", "negative-std", "nan-mean"],
 )
 def test_eval_malformed_normalizer_exit_2(tmp_path, tiny_config, dataset, capsys, normalizer):
     checkpoint = write_run_dir(tmp_path / "run", normalizer)
     code = main(["eval", "--config", tiny_config, "--checkpoint", checkpoint, "--data", dataset])
     assert code == 2
     assert "normalizer.json" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("manifest", ["[1, 2]", "{not json"], ids=["not-object", "bad-json"])
-def test_train_malformed_manifest_exit_2(tmp_path, tiny_config, dataset, capsys, manifest):
-    (tmp_path / "data" / "manifest.json").write_text(manifest)
-    code = main(["train", "--config", tiny_config, "--data", dataset,
-                 "--out", str(tmp_path / "run")])
-    assert code == 2
-    assert "manifest.json" in capsys.readouterr().err
 
 
 def test_train_session_with_fewer_channels_exit_2(tmp_path, tiny_config, dataset, capsys):
@@ -374,6 +393,18 @@ def test_eval_malformed_run_config_exit_1(tmp_path, dataset, capsys, run_config)
     assert err.startswith("error:") and "run_config.json" in err
 
 
+def test_eval_non_finite_checkpoint_value_exit_1(tmp_path, tiny_config, dataset, capsys):
+    run_dir = tmp_path / "run"
+    main(["train", "--config", tiny_config, "--data", dataset, "--out", str(run_dir)])
+    capsys.readouterr()
+    arrays = checkpoint_load(run_dir / "checkpoint.bin")
+    arrays["cls.w"][0, 0] = np.nan
+    checkpoint_save(arrays, run_dir / "checkpoint.bin")
+    code = main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"), "--data", dataset])
+    assert code == 1
+    assert "non-finite value in parameter 'cls.w'" in capsys.readouterr().err
+
+
 def test_eval_set_override_applies_to_run_config(tmp_path, tiny_config, dataset, capsys):
     run_dir = tmp_path / "run"
     main(["train", "--config", tiny_config, "--data", dataset, "--out", str(run_dir)])
@@ -420,6 +451,40 @@ def test_ablate_grid_and_csv(tmp_path, tiny_config, dataset):
         assert row["status"] == "ok"
         assert row["f1_mean"]
         assert len(row["f1_per_seed"].split(";")) == 2
+
+
+def test_ablate_rows_match_cli_csv_and_cells_are_run_directories(
+    tmp_path, tiny_config, dataset, capsys
+):
+    cells = list(COMPONENT_CELLS)
+    out = tmp_path / "abl"
+    assert main([
+        "ablate", "--config", tiny_config, "--data", dataset, "--out", str(out),
+        "--cells", ",".join(cells), "--strategies", "time_sequential",
+        "--batch-sizes", "16", "--seeds", "0,1", "--epochs", "1",
+    ]) == 0
+    with open(out / "ablation.csv") as fh:
+        csv_rows = list(csv.DictReader(fh))
+
+    run = RunConfig.load(tiny_config, {"train": {"epochs": "1"}}, seed=0)
+    rows = ablate(run, _load_splits(dataset, run), cells, ["time_sequential"], [16], [0, 1],
+                  tmp_path / "direct")
+    assert [{k: str(v) for k, v in row.items()} for row in rows] == csv_rows
+    assert [r["strategy"] for r in csv_rows] == ["time_sequential"] * 5 + ["shuffled"]
+    assert all(r["status"] == "ok" for r in csv_rows)
+    capsys.readouterr()
+
+    for row in csv_rows:
+        for seed, f1 in zip((0, 1), row["f1_per_seed"].split(";")):
+            cell_dir = out / f"{row['cell']}_{row['strategy']}_b16_s{seed}"
+            resolved = json.loads((cell_dir / "run_config.json").read_text())
+            assert resolved["seed"] == seed
+            assert resolved["train"]["batch_size"] == "16"
+            assert resolved["model"]["disable"] == row["disable"]
+            assert main(["eval", "--checkpoint", str(cell_dir / "checkpoint.bin"),
+                         "--data", dataset]) == 0
+            reported = capsys.readouterr().out
+            assert reported.split("mean F1 ", 1)[1].split(",")[0] == f1
 
 
 def test_ablate_dedupes_pinned_strategy_cells(tmp_path, tiny_config, dataset):

@@ -227,6 +227,20 @@ def test_load_state_name_mismatch():
         m.load_state(arrays)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_state_rejects_non_finite_values_before_writing(bad):
+    m = small_model()
+    before = {name: p.data.copy() for name, p in m.params.items()}
+    names = list(m.params)
+    arrays = small_model(seed=1).state_arrays()
+    arrays[names[2]][0, 0] = bad
+    arrays[names[-1]][0, 0] = np.nan
+    with pytest.raises(CheckpointError, match=f"non-finite value in parameter '{names[2]}'"):
+        m.load_state(arrays)
+    for name, p in m.params.items():
+        np.testing.assert_array_equal(p.data, before[name])
+
+
 def test_load_state_rejects_checkpoint_with_intra_b2(tmp_path):
     # the intra-attention score bias is gone (the softmax over timesteps is
     # shift-invariant); a checkpoint that still holds it is not this model's
