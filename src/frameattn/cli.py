@@ -369,10 +369,16 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def _int_list(flag: str, text: str) -> list[int]:
+    """Comma-separated distinct integers: a repeated value would train one
+    grid point twice and count its score twice."""
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        values = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"{flag} must be comma-separated integers, got '{text}'") from None
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{flag} repeats {repeated} in '{text}'")
+    return values
 
 
 def ablate(run: RunConfig, splits: DataSplits, cells: list[str], strategies: list[str],

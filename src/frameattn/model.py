@@ -16,10 +16,18 @@ Heads and experts are slices of stacked parameters, not separate ones: each
 attention stage keeps its query/key/value projections in one (d, 3d)
 matrix (``inter.wqkv``, ``mh.wqkv``), and the E experts live in
 (E, d, d) weights and (E, 1, d) biases (``moe.w1``/``b1``/``w2``/``b2``).
-Each conv block (convolution along time, bias and ReLU) is one
-``T.conv1d_relu`` node.  Across-frame and multi-head attention are each one
-``T.attention`` node on the packed projection ``x @ wqkv``; the across-frame
-stage is the one-head case.  All three have hand-written backward rules.
+Each stage is one node of ``tensor`` with a hand-written backward rule,
+plus the plain matmuls and adds around it:
+
+    conv block             ``T.conv1d_relu`` (convolution, bias, ReLU)
+    within-frame pooling   ``T.attention_pool`` (tanh scores, softmax over T,
+                           weighted sum)
+    across-frame attention ``T.attention`` on ``x @ inter.wqkv``, one head
+    blend                  ``T.sigmoid`` of ``blend.alpha``, then ``T.mix``
+    multi-head attention   ``T.attention`` on ``x @ mh.wqkv``, then ``@ mh.wo``
+    gate                   ``T.linear_sigmoid``, then ``T.mix`` to apply it
+    mixture of experts     ``T.mixture_of_experts``
+    loss                   ``T.focal_cross_entropy`` (in ``losses``)
 
 Stages can be switched off via ``ModelConfig.disabled``; a disabled stage
 passes the appropriate operand through unchanged, which is how the ablation
@@ -152,13 +160,10 @@ def intra_attention(feats: Tensor, params: dict) -> tuple[Tensor, Tensor]:
     the timesteps of a frame.  A bias on the scores would shift every
     timestep's score alike and so could not change the weights.
     """
-    batch, steps, d = feats.shape
-    flat = feats.reshape(batch * steps, d)
-    hidden = T.tanh(flat @ params["intra.w1"] + params["intra.b1"])
-    scores = (hidden @ params["intra.w2"]).reshape(batch, steps)
-    weights = T.softmax(scores, axis=1)
-    pooled = T.tsum(weights.reshape(batch, steps, 1) * feats, axis=1)
-    return pooled, weights
+    pooled, weights = T.attention_pool(
+        feats, params["intra.w1"], params["intra.b1"], params["intra.w2"]
+    )
+    return pooled, Tensor(weights)
 
 
 def inter_attention(x: Tensor, params: dict) -> tuple[Tensor, Tensor]:
@@ -170,8 +175,7 @@ def inter_attention(x: Tensor, params: dict) -> tuple[Tensor, Tensor]:
 
 def combine_attention(a_inter: Tensor, a_intra: Tensor, alpha: Tensor) -> Tensor:
     """Convex blend a*inter + (1-a)*intra with a = sigmoid(alpha)."""
-    a = T.sigmoid(alpha)
-    return a * a_inter + (1.0 - a) * a_intra
+    return T.mix(T.sigmoid(alpha), a_inter, a_intra)
 
 
 def fuse_features(x_bar: Tensor, a_com: Tensor, params: dict) -> Tensor:
@@ -188,22 +192,20 @@ def multi_head_attention(x: Tensor, params: dict, cfg: ModelConfig) -> tuple[Ten
 
 
 def gate_values(x_att: Tensor, params: dict) -> Tensor:
-    return T.sigmoid(x_att @ params["gate.wg"] + params["gate.bg"])
+    return T.linear_sigmoid(x_att, params["gate.wg"], params["gate.bg"])
 
 
 def apply_gate(gate: Tensor, a_mul: Tensor, x_enhanced: Tensor) -> Tensor:
-    return gate * a_mul + (1.0 - gate) * x_enhanced
+    return T.mix(gate, a_mul, x_enhanced)
 
 
 def moe_layer(x: Tensor, params: dict) -> tuple[Tensor, Tensor]:
     """Softmax-weighted mixture of the E stacked two-layer feed-forward
-    experts, each layer one broadcast matmul over the expert axis; returns
-    the (B, d) mixture and the (B, E) weights."""
-    weights = T.softmax(x @ params["moe.gate.w"], axis=1)
-    hidden = T.relu(x @ params["moe.w1"] + params["moe.b1"])
-    experts = hidden @ params["moe.w2"] + params["moe.b2"]
-    per_expert = weights.transpose().reshape(*experts.shape[:2], 1)
-    return T.tsum(per_expert * experts, axis=0), weights
+    experts; returns the (B, d) mixture and the (B, E) weights."""
+    out, weights = T.mixture_of_experts(
+        x, *(params[f"moe.{k}"] for k in ("gate.w", "w1", "b1", "w2", "b2"))
+    )
+    return out, Tensor(weights)
 
 
 class AttentionModel:

@@ -9,12 +9,21 @@ are acyclic and freed by reference counting.  ``backward`` visits the recorded
 nodes once in reverse topological order.  Gradients add up, which makes
 tensors reused on several paths come out right: a leaf made with
 ``requires_grad=True`` owns a zeroed buffer, and an intermediate gets its
-gradient on first accumulation.
+gradient on first accumulation.  An intermediate's gradient is dropped as
+soon as its own rule has consumed it, since every contribution to it has
+arrived by then; leaves keep theirs.  Rules, parents and the arrays a rule
+keeps live as long as the graph does.
 
-Besides elementwise, reduction and shape ops there are three fused nodes with
-hand-written backward rules: ``conv1d_relu`` (a conv block: convolution
-along time, bias and ReLU), ``attention`` (all heads of scaled dot-product
-attention) and ``focal_cross_entropy`` (the training loss).
+Besides elementwise, reduction and shape ops there are fused nodes with
+hand-written backward rules, one per stage of the classifier:
+``conv1d_relu`` (a conv block: convolution along time, bias and ReLU),
+``attention_pool`` (additive attention pooling over time), ``attention``
+(all heads of scaled dot-product attention), ``mix`` (the convex blend
+a * x + (1 - a) * y), ``linear_sigmoid`` (an affine map and a sigmoid),
+``mixture_of_experts`` (softmax-gated two-layer experts) and
+``focal_cross_entropy`` (the training loss).  Each computes its forward with
+the numpy ops of the composed graph it replaces, in the same order, so
+values and gradients are bit-identical to that graph's.
 
 Broadcasting follows numpy; the backward side sums gradients over broadcast
 dimensions.  Everything is float64: at the sizes this package targets the
@@ -107,9 +116,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -198,15 +204,6 @@ def sub(a, b) -> Tensor:
             _acc(b, -g)
 
     return _node(data, (a, b), rule)
-
-
-def neg(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-
-    def rule(g):
-        _acc(a, -g)
-
-    return _node(-a.data, (a,), rule)
 
 
 def mul(a, b) -> Tensor:
@@ -332,6 +329,51 @@ def sigmoid(a: Tensor) -> Tensor:
     return _node(y, (a,), rule)
 
 
+def linear_sigmoid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """sigmoid(x @ w + b) for x (B, d), w (d, n) and b (1, n), as one node."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ShapeError(
+            f"linear_sigmoid: need x (B, d), w (d, n) and b (1, n), "
+            f"got {x.shape}, {w.shape} and {b.shape}"
+        )
+    z = x.data @ w.data
+    z += b.data
+    y = _sigmoid_stable(z)
+
+    def rule(g):
+        g = y * (1.0 - y) * g
+        if b.requires_grad:
+            _acc(b, g)
+        if x.requires_grad:
+            _acc(x, g @ np.swapaxes(w.data, -1, -2))
+        if w.requires_grad:
+            _acc(w, np.swapaxes(x.data, -1, -2) @ g)
+
+    return _node(y, (x, w, b), rule)
+
+
+def mix(a, x, y) -> Tensor:
+    """a * x + (1 - a) * y, broadcasting as numpy: a convex blend of x and y
+    for a in [0, 1]."""
+    a, x, y = _as_tensor(a), _as_tensor(x), _as_tensor(y)
+    try:
+        data = a.data * x.data + (1.0 - a.data) * y.data
+    except ValueError as e:
+        raise ShapeError(f"mix: incompatible shapes {a.shape}, {x.shape} and {y.shape}") from e
+
+    def rule(g):
+        if a.requires_grad:
+            # each term reduced on its own, as the two-product graph does
+            _acc(a, _unbroadcast(x.data * g, a.shape) - _unbroadcast(y.data * g, a.shape))
+        if x.requires_grad:
+            _acc(x, a.data * g)
+        if y.requires_grad:
+            _acc(y, (1.0 - a.data) * g)
+
+    return _node(data, (a, x, y), rule)
+
+
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
 
@@ -390,6 +432,113 @@ def attention(qkv: Tensor, heads: int) -> tuple[Tensor, Array]:
         _acc(qkv, g_qkv.transpose(2, 0, 1, 3).reshape(batch, 3 * d))
 
     return _node(out, (qkv,), rule), p
+
+
+def attention_pool(feats: Tensor, w1: Tensor, b1: Tensor, w2: Tensor) -> tuple[Tensor, Array]:
+    """Additive attention pooling (Bahdanau et al., 2015, arXiv:1409.0473)
+    of the T rows of each of B frames feats (B, T, d): scores
+    s = tanh(x_t @ w1 + b1) @ w2 with w1 (d, h), b1 (1, h) and w2 (h, 1),
+    weights p = softmax of s over T, output sum_t p_t x_t.  One node,
+    returning the (B, d) output and, as a plain array, the (B, T) weights.
+    Backward keeps the tanh output and the weights; feats gets the sum of
+    its two paths, through the weighted sum and through the scores."""
+    feats, w1, b1, w2 = (_as_tensor(t) for t in (feats, w1, b1, w2))
+    if (
+        feats.ndim != 3
+        or w1.ndim != 2
+        or feats.shape[2] != w1.shape[0]
+        or b1.shape != (1, w1.shape[1])
+        or w2.shape != (w1.shape[1], 1)
+    ):
+        raise ShapeError(
+            f"attention_pool: need feats (B, T, d), w1 (d, h), b1 (1, h) and w2 (h, 1), "
+            f"got {feats.shape}, {w1.shape}, {b1.shape} and {w2.shape}"
+        )
+    batch, steps, d = feats.shape
+    flat = feats.data.reshape(batch * steps, d)
+    hidden = flat @ w1.data
+    hidden += b1.data
+    np.tanh(hidden, out=hidden)
+    p = _softmax((hidden @ w2.data).reshape(batch, steps), axis=1)
+    p3 = p.reshape(batch, steps, 1)
+    out = (p3 * feats.data).sum(axis=1)
+
+    def rule(g):
+        g3 = g[:, None, :]
+        g_p = (feats.data * g3).sum(axis=2)
+        g_s = (p * (g_p - (g_p * p).sum(axis=1, keepdims=True))).reshape(batch * steps, 1)
+        if w2.requires_grad:
+            _acc(w2, np.swapaxes(hidden, -1, -2) @ g_s)
+        g_h = (1.0 - hidden * hidden) * (g_s @ np.swapaxes(w2.data, -1, -2))
+        if b1.requires_grad:
+            _acc(b1, g_h)
+        if w1.requires_grad:
+            _acc(w1, np.swapaxes(flat, -1, -2) @ g_h)
+        if feats.requires_grad:
+            g_flat = g_h @ np.swapaxes(w1.data, -1, -2)
+            _acc(feats, p3 * g3 + g_flat.reshape(batch, steps, d))
+
+    return _node(out, (feats, w1, b1, w2), rule), p
+
+
+def mixture_of_experts(
+    x: Tensor, gate_w: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor
+) -> tuple[Tensor, Array]:
+    """Softmax-gated mixture of E two-layer ReLU experts (Shazeer et al.,
+    2017, arXiv:1701.06538, without the sparsity): sum_e p_e * (relu(x @
+    w1[e] + b1[e]) @ w2[e] + b2[e]) with p = softmax(x @ gate_w) over the
+    experts.  x (B, d), gate_w (d, E), w1 (E, d, h), b1 (E, 1, h), w2
+    (E, h, n), b2 (E, 1, n); each layer is one matmul broadcast over the
+    expert axis.  One node, returning the (B, n) mixture and, as a plain
+    array, the (B, E) weights.  Backward keeps the ReLU output, which is
+    also its mask, the expert outputs and the weights."""
+    x, gate_w, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, gate_w, w1, b1, w2, b2))
+    experts_n = gate_w.shape[1] if gate_w.ndim == 2 else -1
+    if (
+        x.ndim != 2
+        or gate_w.shape != (x.shape[1], experts_n)
+        or w1.ndim != 3
+        or w1.shape[:2] != (experts_n, x.shape[1])
+        or b1.shape != (experts_n, 1, w1.shape[2])
+        or w2.ndim != 3
+        or w2.shape[:2] != (experts_n, w1.shape[2])
+        or b2.shape != (experts_n, 1, w2.shape[2])
+    ):
+        raise ShapeError(
+            f"mixture_of_experts: need x (B, d), gate_w (d, E), w1 (E, d, h), b1 (E, 1, h), "
+            f"w2 (E, h, n) and b2 (E, 1, n), got {x.shape}, {gate_w.shape}, {w1.shape}, "
+            f"{b1.shape}, {w2.shape} and {b2.shape}"
+        )
+    p = _softmax(x.data @ gate_w.data, axis=1)
+    hidden = x.data @ w1.data
+    hidden += b1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    experts = hidden @ w2.data
+    experts += b2.data
+    p3 = p.T.copy().reshape(experts_n, x.shape[0], 1)
+    out = (p3 * experts).sum(axis=0)
+
+    def rule(g):
+        g3 = g[None]
+        g_p = (experts * g3).sum(axis=2).T
+        g_z = p * (g_p - (g_p * p).sum(axis=1, keepdims=True))
+        g_e = p3 * g3
+        if b2.requires_grad:
+            _acc(b2, g_e)
+        if w2.requires_grad:
+            _acc(w2, np.swapaxes(hidden, -1, -2) @ g_e)
+        g_h = (hidden > 0.0) * (g_e @ np.swapaxes(w2.data, -1, -2))
+        if b1.requires_grad:
+            _acc(b1, g_h)
+        if w1.requires_grad:
+            _acc(w1, np.swapaxes(x.data, -1, -2) @ g_h)
+        if gate_w.requires_grad:
+            _acc(gate_w, np.swapaxes(x.data, -1, -2) @ g_z)
+        if x.requires_grad:
+            g_x = (g_h @ np.swapaxes(w1.data, -1, -2)).sum(axis=0)
+            _acc(x, g_z @ np.swapaxes(gate_w.data, -1, -2) + g_x)
+
+    return _node(out, (x, gate_w, w1, b1, w2, b2), rule), p
 
 
 def focal_cross_entropy(
@@ -525,10 +674,11 @@ def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator | N
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
+    """Add the gradient of ``loss`` into every leaf reachable from it.
 
     ``loss`` must be a scalar.  Gradients add onto whatever is already in the
-    buffers, so callers zero parameter grads between steps.
+    leaf buffers, so callers zero parameter grads between steps.  Each
+    intermediate's ``grad`` is None again once its rule has run.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: expected scalar loss, got shape {loss.shape}")
@@ -554,6 +704,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._rule is not None:
             node._rule(node.grad)
+            node.grad = None
 
 
 def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:

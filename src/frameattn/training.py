@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -199,6 +200,7 @@ def checkpoint_load(path: str | Path) -> dict[str, np.ndarray]:
         raise CheckpointError(f"checkpoint not found: {path}")
     arrays: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.readline().decode("ascii", errors="replace").rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(
@@ -221,10 +223,16 @@ def checkpoint_load(path: str | Path) -> dict[str, np.ndarray]:
                 raise CheckpointError(
                     f"record '{name}' declares rank {rank} but {len(extents)} extents"
                 )
-            count = int(np.prod(extents)) if extents else 1
-            payload = fh.read(8 * count)
-            if len(payload) != 8 * count:
+            if any(e < 0 for e in extents):
+                raise CheckpointError(f"record '{name}' declares negative extents {extents}")
+            if name in arrays:
+                raise CheckpointError(f"duplicate record '{name}'")
+            # exact integer product, checked against the bytes left before
+            # anything is read, so huge extents cannot overflow or allocate
+            nbytes = 8 * math.prod(extents)
+            if nbytes > size - fh.tell():
                 raise CheckpointError(f"truncated payload for record '{name}'")
+            payload = fh.read(nbytes)
             arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(extents).copy()
     return arrays
 

@@ -4,22 +4,24 @@ from frameattn import tensor as T
 
 
 @pytest.fixture
-def scale_tanh_backward(monkeypatch):
-    """Corrupt one backward rule on purpose: after ``scale_tanh_backward(s)``,
-    every ``frameattn.tensor.tanh`` call records a rule whose contribution to
-    its input's gradient is multiplied by ``s``.  Undone when the test ends."""
+def scale_backward(monkeypatch):
+    """Corrupt one backward rule on purpose: after ``scale_backward(name, s)``,
+    every ``frameattn.tensor.<name>`` call records a rule whose contributions
+    to its inputs' gradients are multiplied by ``s``.  Undone when the test
+    ends."""
 
-    def install(scale: float) -> None:
-        clean_tanh = T.tanh
+    def install(name: str, scale: float) -> None:
+        clean_op = getattr(T, name)
 
-        def tanh(a):
-            out = clean_tanh(a)
+        def op(*args, **kw):
+            result = clean_op(*args, **kw)
+            out = result[0] if isinstance(result, tuple) else result
             clean_rule = out._rule
             if clean_rule is not None:
-                # the rule is linear in the output gradient it receives
+                # every rule is linear in the output gradient it receives
                 out._rule = lambda g: clean_rule(scale * g)
-            return out
+            return result
 
-        monkeypatch.setattr(T, "tanh", tanh)
+        monkeypatch.setattr(T, name, op)
 
     return install

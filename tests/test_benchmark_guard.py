@@ -18,7 +18,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "workload, trace",
-    [("train_default", 0), ("train_small", 0), ("eval_long", 0), ("train_default", 1)],
+    [
+        ("train_default", 0), ("train_small", 0), ("eval_long", 0),
+        ("train_default", 1), ("train_small", 1), ("eval_long", 1),
+    ],
 )
 def test_tiny_benchmark_run_matches_reference(workload, trace):
     proc = subprocess.run(

@@ -424,11 +424,11 @@ def test_gradcheck_command_passes(capsys):
     assert "passed" in out
 
 
-def test_gradcheck_fault_injection_names_offending_block(capsys, scale_tanh_backward):
-    # corrupting tanh's backward breaks the stage that uses it (tanh only
-    # appears in the within-frame attention scores); the fault must be large
-    # because the report's relative error floors its denominator at 1
-    scale_tanh_backward(1000.0)
+def test_gradcheck_fault_injection_names_offending_block(capsys, scale_backward):
+    # corrupting the within-frame pooling node's backward breaks the stage
+    # that uses it; the fault must be large because the report's relative
+    # error floors its denominator at 1
+    scale_backward("attention_pool", 1000.0)
     code = main(["gradcheck", "--seed", "0"])
     out = capsys.readouterr().out
     assert code == 1
@@ -514,6 +514,8 @@ def test_ablate_unknown_cell_exit_1(tmp_path, tiny_config, dataset):
     [
         ("--seeds", "0,x", "--seeds must be comma-separated integers, got '0,x'"),
         ("--batch-sizes", "16,1.5", "--batch-sizes must be comma-separated integers"),
+        ("--seeds", "0,1,00", "--seeds repeats [0] in '0,1,00'"),
+        ("--batch-sizes", "16,8,16", "--batch-sizes repeats [16] in '16,8,16'"),
         ("--cells", "full,everything", "unknown ablation cell 'everything'"),
     ],
 )

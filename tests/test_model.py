@@ -452,11 +452,9 @@ def test_gradcheck_through_backbone_input():
     assert gradcheck(f, frames) < 1e-6
 
 
-def test_train_step_graph_node_count():
-    # pins the graph size of one training step (2 conv blocks, dropout on):
-    # each conv block, each attention stage and the whole loss are one node
-    # apiece
-    m = AttentionModel(tiny_cfg(dropout=0.1), seed=0)
+def train_step_graph(m):
+    """Loss and every graph node of one training step of ``m``; the
+    dropout rng is seeded, so the step repeats exactly."""
     rng = np.random.default_rng(0)
     trace = m.forward(random_frames(6, seed=26), training=True, rng=rng)
     loss = combined_loss(trace.logits, rng.integers(0, 4, size=6), LossConfig())
@@ -466,6 +464,30 @@ def test_train_step_graph_node_count():
         if id(t) not in reached:
             reached[id(t)] = t
             stack.extend(p for p in t._parents if p.requires_grad)
-    leaves = [t for t in reached.values() if t._rule is None]
+    return loss, list(reached.values())
+
+
+def test_train_step_graph_node_count():
+    # pins the graph size of one training step (2 conv blocks, dropout on):
+    # each conv block, each model stage and the whole loss are one node
+    # apiece
+    m = AttentionModel(tiny_cfg(dropout=0.1), seed=0)
+    _, nodes = train_step_graph(m)
+    leaves = [t for t in nodes if t._rule is None]
     assert sorted(map(id, leaves)) == sorted(map(id, m.params.values()))
-    assert len(reached) - len(leaves) == 51
+    assert len(nodes) - len(leaves) == 24
+
+
+def test_backward_drops_intermediate_grads_and_keeps_leaf_buffers():
+    m = AttentionModel(tiny_cfg(dropout=0.1), seed=0)
+    loss, nodes = train_step_graph(m)
+    backward(loss)
+    assert all(t.grad is None for t in nodes if t._rule is not None)
+    buffers = {name: p.grad for name, p in m.params.items()}
+    first = {name: g.copy() for name, g in buffers.items()}
+    assert all(np.abs(g).sum() > 0 for g in first.values())
+    # the same step again adds onto each parameter's own buffer
+    backward(train_step_graph(m)[0])
+    for name, p in m.params.items():
+        assert p.grad is buffers[name]
+        np.testing.assert_array_equal(p.grad, 2.0 * first[name])

@@ -193,6 +193,18 @@ def every_op_cases(seed):
     conv_b = Tensor(rng.normal(size=(1, 1, 2)))
     conv_b1 = Tensor(rng.normal(size=(1, 1, 1)))
     conv_x2, conv_w2 = Tensor(rng.normal(size=(2, 3, 2))), Tensor(rng.normal(size=(3, 2, 35)))
+    pool_x, pool_w1 = Tensor(rng.normal(size=(2, 4, 7))), Tensor(rng.normal(size=(7, 3)))
+    pool_b1, pool_w2 = Tensor(rng.normal(size=(1, 3))), Tensor(rng.normal(size=(3, 1)))
+    moe = {
+        name: Tensor(rng.normal(size=shape))
+        for name, shape in (
+            ("x", (3, 7)), ("gate_w", (7, 5)), ("w1", (5, 7, 7)),
+            ("b1", (5, 1, 7)), ("w2", (5, 7, 7)), ("b2", (5, 1, 7)),
+        )
+    }
+    lin_x, lin_w, lin_b = (Tensor(rng.normal(size=s)) for s in ((3, 7), (7, 5), (1, 5)))
+    mix_a = Tensor(rng.uniform(size=(5, 7)))
+    mix_x, mix_y = Tensor(rng.normal(size=(5, 7))), Tensor(rng.normal(size=(5, 7)))
 
     def sq(u):
         return T.tsum(u * u)
@@ -200,7 +212,6 @@ def every_op_cases(seed):
     cases = [
         lambda t: T.tsum(t + rng_const),
         lambda t: T.tsum(t * t),
-        lambda t: T.tsum(-t),
         lambda t: T.tsum(t @ Tensor(w)),
         lambda t: T.tsum(t.transpose() * 2.0),
         lambda t: T.tsum(t @ Tensor(stack)),
@@ -226,6 +237,31 @@ def every_op_cases(seed):
     ]
     cases += [
         lambda t, h=h: T.tsum(T.attention(t @ wqkv, h)[0] * attn_cot) for h in (1, 4)
+    ]
+    cases += [
+        lambda t: sq(T.attention_pool(t.reshape(1, 5, 7), pool_w1, pool_b1, pool_w2)[0]),
+        lambda t: sq(T.attention_pool(pool_x, t.transpose()[:, :3], pool_b1, pool_w2)[0]),
+        lambda t: sq(T.attention_pool(pool_x, pool_w1, t[0:1, :3], pool_w2)[0]),
+        lambda t: sq(T.attention_pool(pool_x, pool_w1, pool_b1, t[1:4, 0:1])[0]),
+    ]
+
+    def moe_with(name, operand):
+        return sq(T.mixture_of_experts(**{**moe, name: operand})[0])
+
+    cases += [
+        lambda t: moe_with("x", t),
+        lambda t: moe_with("gate_w", t.reshape(7, 5)),
+        lambda t: moe_with("w1", moe["w1"] * t.reshape(5, 7, 1)),
+        lambda t: moe_with("b1", t.reshape(5, 1, 7)),
+        lambda t: moe_with("w2", moe["w2"] * t.reshape(5, 7, 1)),
+        lambda t: moe_with("b2", t.reshape(5, 1, 7)),
+        lambda t: sq(T.linear_sigmoid(t, lin_w, lin_b)),
+        lambda t: sq(T.linear_sigmoid(lin_x, t.reshape(7, 5), lin_b)),
+        lambda t: sq(T.linear_sigmoid(lin_x, lin_w, t[0:1, :5])),
+        lambda t: sq(T.mix(t, mix_x, mix_y)),
+        lambda t: sq(T.mix(t[1:2, 2:3], mix_x, mix_y)),
+        lambda t: sq(T.mix(mix_a, t, mix_y)),
+        lambda t: sq(T.mix(mix_a, mix_x, t)),
     ]
     cases += [
         lambda t, lam=lam, gamma=gamma: T.focal_cross_entropy(t, labels, lam, 0.7, gamma)
@@ -289,10 +325,10 @@ def test_no_grad_blocks_graph_recording():
     np.testing.assert_array_equal(x.grad, [1.0])
 
 
-def test_backward_fault_hook_corrupts_named_op_only(scale_tanh_backward):
+def test_backward_fault_hook_corrupts_named_op_only(scale_backward):
     x = Tensor(np.random.default_rng(5).normal(size=(4,)))
     clean = gradcheck(lambda t: T.tsum(T.tanh(t) * t), x)
-    scale_tanh_backward(1.05)
+    scale_backward("tanh", 1.05)
     corrupted = gradcheck(lambda t: T.tsum(T.tanh(t) * t), x)
     assert clean < 1e-6
     assert corrupted > 1e-3
@@ -320,11 +356,11 @@ def test_gradcheck_intermediate_with_shared_gradient_arrays():
 
 def test_sub_matches_add_of_negation_bit_for_bit():
     # x - y is x + (-y) in IEEE arithmetic: values and both gradients,
-    # with broadcasting on either side
+    # with broadcasting on either side; -1.0 * y is -y exactly
     rng = np.random.default_rng(12)
     a0, b0, cot = rng.normal(size=(4, 3)), rng.normal(size=(1, 3)), Tensor(rng.normal(size=(4, 3)))
     results = []
-    for op in (lambda a, b: a + (-b), T.sub):
+    for op in (lambda a, b: a + (-1.0 * b), T.sub):
         a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
         out = op(a, b)
         backward(T.tsum(out * cot) + T.tsum(op(b, a) * cot))
@@ -439,3 +475,122 @@ def test_attention_rejects_bad_packing():
         T.attention(Tensor(np.zeros((3, 12))), 3)
     with pytest.raises(ShapeError, match=r"\(3, 4, 12\)"):
         T.attention(Tensor(np.zeros((3, 4, 12))), 1)
+
+
+def assert_fused_matches_composed(fused, composed, arrays, cot):
+    """Outputs, returned weights and every operand's gradient of ``fused``
+    are bit-identical to those of the composed graph it replaces."""
+    results = []
+    for op in (composed, fused):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        out, weights = out if isinstance(out, tuple) else (out, None)
+        backward(T.tsum(out * Tensor(cot)))
+        weights = weights.data if isinstance(weights, Tensor) else weights
+        results.append([out.data, weights, *(leaf.grad for leaf in leaves)])
+    for ref, got in zip(*results):
+        np.testing.assert_array_equal(got, ref)
+
+
+def composed_attention_pool(feats, w1, b1, w2):
+    """The graph of elementary ops that ``T.attention_pool`` replaces."""
+    batch, steps, d = feats.shape
+    hidden = T.tanh(feats.reshape(batch * steps, d) @ w1 + b1)
+    weights = T.softmax((hidden @ w2).reshape(batch, steps), axis=1)
+    return T.tsum(weights.reshape(batch, steps, 1) * feats, axis=1), weights
+
+
+def composed_mixture_of_experts(x, gate_w, w1, b1, w2, b2):
+    """The graph of elementary ops that ``T.mixture_of_experts`` replaces."""
+    weights = T.softmax(x @ gate_w, axis=1)
+    experts = T.relu(x @ w1 + b1) @ w2 + b2
+    per_expert = weights.transpose().reshape(*experts.shape[:2], 1)
+    return T.tsum(per_expert * experts, axis=0), weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 4),
+    steps=st.integers(1, 10),
+    d=st.integers(1, 6),
+    h=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_attention_pool_matches_composed_graph(batch, steps, d, h, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=s) for s in ((batch, steps, d), (d, h), (1, h), (h, 1))]
+    assert_fused_matches_composed(
+        T.attention_pool, composed_attention_pool, arrays, rng.normal(size=(batch, d))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 4),
+    d=st.integers(1, 5),
+    experts=st.integers(1, 10),
+    h=st.integers(1, 5),
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mixture_of_experts_matches_composed_graph(batch, d, experts, h, n, seed):
+    rng = np.random.default_rng(seed)
+    shapes = ((batch, d), (d, experts), (experts, d, h), (experts, 1, h), (experts, h, n),
+              (experts, 1, n))
+    arrays = [rng.normal(size=s) for s in shapes]
+    assert_fused_matches_composed(
+        T.mixture_of_experts, composed_mixture_of_experts, arrays, rng.normal(size=(batch, n))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 4),
+    d=st.integers(1, 5),
+    n=st.integers(1, 5),
+    scale=st.sampled_from([1.0, 30.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_linear_sigmoid_matches_composed_graph(batch, d, n, scale, seed):
+    # scale 30 drives the sigmoid into both saturated tails
+    rng = np.random.default_rng(seed)
+    arrays = [scale * rng.normal(size=s) for s in ((batch, d), (d, n), (1, n))]
+    assert_fused_matches_composed(
+        T.linear_sigmoid, lambda x, w, b: T.sigmoid(x @ w + b), arrays,
+        rng.normal(size=(batch, n)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 5),
+    cols=st.integers(1, 5),
+    a_rows_one=st.booleans(),
+    a_cols_one=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mix_matches_composed_graph(rows, cols, a_rows_one, a_cols_one, seed):
+    # the gate's full-shape weight and the blend's (1, 1) weight, and the
+    # broadcast shapes in between
+    rng = np.random.default_rng(seed)
+    a_shape = (1 if a_rows_one else rows, 1 if a_cols_one else cols)
+    arrays = [rng.uniform(size=a_shape), *rng.normal(size=(2, rows, cols))]
+    assert_fused_matches_composed(
+        T.mix, lambda a, x, y: a * x + (1.0 - a) * y, arrays, rng.normal(size=(rows, cols))
+    )
+
+
+def test_fused_stage_ops_reject_bad_shapes():
+    z = lambda *s: Tensor(np.zeros(s))  # noqa: E731
+    with pytest.raises(ShapeError, match=r"attention_pool.*\(2, 3, 4\).*\(5, 2\)"):
+        T.attention_pool(z(2, 3, 4), z(5, 2), z(1, 2), z(2, 1))
+    with pytest.raises(ShapeError, match=r"attention_pool.*\(2, 3\)"):
+        T.attention_pool(z(2, 3, 4), z(4, 2), z(1, 2), z(2, 3))
+    with pytest.raises(ShapeError, match=r"mixture_of_experts.*\(3, 4, 5\)"):
+        T.mixture_of_experts(z(2, 4), z(4, 2), z(3, 4, 5), z(2, 1, 5), z(2, 5, 4), z(2, 1, 4))
+    with pytest.raises(ShapeError, match=r"mixture_of_experts.*\(2, 1, 3\)"):
+        T.mixture_of_experts(z(2, 4), z(4, 2), z(2, 4, 5), z(2, 1, 5), z(2, 5, 4), z(2, 1, 3))
+    with pytest.raises(ShapeError, match=r"linear_sigmoid.*\(2, 4\).*\(3, 5\)"):
+        T.linear_sigmoid(z(2, 4), z(3, 5), z(1, 5))
+    with pytest.raises(ShapeError, match=r"mix.*\(3, 1\), \(2, 4\) and \(2, 4\)"):
+        T.mix(z(3, 1), z(2, 4), z(2, 4))

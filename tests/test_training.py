@@ -1,8 +1,12 @@
 import gc
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frameattn import tensor as T
 from frameattn import training
@@ -12,6 +16,7 @@ from frameattn.losses import LossConfig, combined_loss
 from frameattn.model import AttentionModel, ModelConfig
 from frameattn.tensor import Tensor
 from frameattn.training import (
+    CHECKPOINT_MAGIC,
     AdamW,
     PlateauScheduler,
     TrainConfig,
@@ -209,6 +214,60 @@ def test_checkpoint_version_mismatch(tmp_path):
     path.write_bytes(b"FRAMEATTN v9\n")
     with pytest.raises(CheckpointError, match="version"):
         checkpoint_load(path)
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        (b"w 1 -1\n", "negative extents"),
+        (b"w 2 -2 -4\n" + bytes(64), "negative extents"),
+        (b"w 2 4294967296 4294967296\n", "truncated"),
+        (b"w 1 1\n" + bytes(8) + b"w 1 1\n" + bytes(8), "duplicate record 'w'"),
+    ],
+    ids=["negative", "negative-pair", "int64-overflow", "duplicate"],
+)
+def test_checkpoint_malformed_record_errors(tmp_path, records, message):
+    path = tmp_path / "bad.bin"
+    path.write_bytes((CHECKPOINT_MAGIC + "\n").encode() + records)
+    with pytest.raises(CheckpointError, match=message):
+        checkpoint_load(path)
+
+
+def _small_checkpoint_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.bin"
+        arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.array(1.5), "v": np.ones(2)}
+        checkpoint_save(arrays, path)
+        return path.read_bytes()
+
+
+SMALL_CHECKPOINT = _small_checkpoint_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, len(SMALL_CHECKPOINT) - 1),
+            # header bytes that change meaning, besides any byte at all
+            st.one_of(st.sampled_from(b"-09 \n"), st.integers(0, 255)),
+        ),
+        max_size=4,
+    ),
+    keep=st.integers(0, len(SMALL_CHECKPOINT)),
+)
+def test_checkpoint_mutation_loads_or_raises_checkpoint_error(edits, keep):
+    raw = bytearray(SMALL_CHECKPOINT)
+    for pos, value in edits:
+        raw[pos] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.bin"
+        path.write_bytes(bytes(raw[:keep]))
+        try:
+            arrays = checkpoint_load(path)
+        except CheckpointError:
+            return
+    assert all(a.dtype == np.float64 for a in arrays.values())
 
 
 def test_load_state_shape_mismatch():
