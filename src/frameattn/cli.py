@@ -441,6 +441,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             )
     strategies = [_normalize_strategy(s) for s in args.strategies.split(",") if s.strip()]
     batch_sizes = _int_list("--batch-sizes", args.batch_sizes)
+    too_small = [bs for bs in batch_sizes if bs < 1]
+    if too_small:
+        raise ConfigError(f"--batch-sizes must be >= 1, got {too_small} in '{args.batch_sizes}'")
     seeds = _int_list("--seeds", args.seeds)
     if not (cells and strategies and batch_sizes and seeds):
         raise ConfigError("ablation grid must have at least one cell/strategy/batch size/seed")

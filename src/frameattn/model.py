@@ -19,7 +19,9 @@ matrix (``inter.wqkv``, ``mh.wqkv``), and the E experts live in
 Each stage is one node of ``tensor`` with a hand-written backward rule,
 plus the plain matmuls and adds around it:
 
-    conv block             ``T.conv1d_relu`` (convolution, bias, ReLU)
+    conv block             ``T.conv1d_relu`` (convolution, bias, ReLU); at
+                           the default 5 taps block 0, on the raw channels,
+                           runs on im2col and later blocks on Winograd F(4, 5)
     within-frame pooling   ``T.attention_pool`` (tanh scores, softmax over T,
                            weighted sum)
     across-frame attention ``T.attention`` on ``x @ inter.wqkv``, one head

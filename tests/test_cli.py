@@ -424,16 +424,18 @@ def test_gradcheck_command_passes(capsys):
     assert "passed" in out
 
 
-def test_gradcheck_fault_injection_names_offending_block(capsys, scale_backward):
-    # corrupting the within-frame pooling node's backward breaks the stage
-    # that uses it; the fault must be large because the report's relative
-    # error floors its denominator at 1
-    scale_backward("attention_pool", 1000.0)
-    code = main(["gradcheck", "--seed", "0"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "FAILED" in out
-    assert "intra-attention" in out.split("FAILED for:")[1]
+def test_gradcheck_fault_injection_names_offending_block(capsys, monkeypatch, scale_backward):
+    # corrupting a stage node's backward breaks the stage that uses it (the
+    # conv blocks after the first take the Winograd path); the fault must be
+    # large because the report's relative error floors its denominator at 1
+    for op, block in (("attention_pool", "intra-attention"), ("conv1d_relu", "backbone")):
+        scale_backward(op, 1000.0)
+        code = main(["gradcheck", "--seed", "0"])
+        monkeypatch.undo()
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAILED" in out
+        assert block in out.split("FAILED for:")[1]
 
 
 def test_ablate_grid_and_csv(tmp_path, tiny_config, dataset):
@@ -516,6 +518,8 @@ def test_ablate_unknown_cell_exit_1(tmp_path, tiny_config, dataset):
         ("--batch-sizes", "16,1.5", "--batch-sizes must be comma-separated integers"),
         ("--seeds", "0,1,00", "--seeds repeats [0] in '0,1,00'"),
         ("--batch-sizes", "16,8,16", "--batch-sizes repeats [16] in '16,8,16'"),
+        ("--batch-sizes", "0", "--batch-sizes must be >= 1, got [0] in '0'"),
+        ("--batch-sizes", "-8", "--batch-sizes must be >= 1, got [-8] in '-8'"),
         ("--cells", "full,everything", "unknown ablation cell 'everything'"),
     ],
 )

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from frameattn import tensor as T
 from frameattn.errors import ConfigError, ShapeError
+from frameattn.model import AttentionModel, ModelConfig, tiny_gradcheck_config
 from frameattn.tensor import Tensor, backward, gradcheck
 
 
@@ -193,6 +194,10 @@ def every_op_cases(seed):
     conv_b = Tensor(rng.normal(size=(1, 1, 2)))
     conv_b1 = Tensor(rng.normal(size=(1, 1, 1)))
     conv_x2, conv_w2 = Tensor(rng.normal(size=(2, 3, 2))), Tensor(rng.normal(size=(3, 2, 35)))
+    # Winograd shapes (k 5, Cin 9 >= 8, 2 * Cin >= Cout 7), T 5 and 7 cut
+    # into a partial last tile
+    wino_x, wino_w = Tensor(rng.normal(size=(2, 7, 9))), Tensor(rng.normal(size=(5, 9, 7)))
+    wino_b, wino_pad = Tensor(rng.normal(size=(1, 1, 7))), Tensor(rng.normal(size=(1, 5, 2)))
     pool_x, pool_w1 = Tensor(rng.normal(size=(2, 4, 7))), Tensor(rng.normal(size=(7, 3)))
     pool_b1, pool_w2 = Tensor(rng.normal(size=(1, 3))), Tensor(rng.normal(size=(3, 1)))
     moe = {
@@ -233,6 +238,11 @@ def every_op_cases(seed):
         lambda t: T.tsum(T.conv1d_relu(t.reshape(1, 5, 7), Tensor(conv_w), conv_b) * conv_cot),
         lambda t: sq(T.conv1d_relu(Tensor(conv_x), t.reshape(5, 7, 1), conv_b1)),
         lambda t: sq(T.conv1d_relu(conv_x2, conv_w2, t.reshape(1, 1, 35))),
+        lambda t: sq(
+            T.conv1d_relu(T.concat([t.reshape(1, 5, 7), wino_pad], axis=2), wino_w, wino_b)
+        ),
+        lambda t: sq(T.conv1d_relu(wino_x, wino_w * t.reshape(5, 1, 7), wino_b)),
+        lambda t: sq(T.conv1d_relu(wino_x, wino_w, t[0].reshape(1, 1, 7))),
         lambda t: T.tsum(T.dropout(t, 0.5, True, np.random.default_rng(seed)) * t),
     ]
     cases += [
@@ -428,6 +438,66 @@ def test_conv1d_relu_matches_composed_graph(batch, steps, c_in, c_out, k, seed):
     np.testing.assert_array_equal(got_out, ref_out)
     for ref, got in zip(ref_grads, got_grads):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 4),
+    steps=st.integers(1, 9),
+    c_in=st.integers(8, 12),
+    c_out=st.integers(4, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv1d_relu_winograd_matches_composed_graph(batch, steps, c_in, c_out, seed):
+    # k 5, Cin >= 8 and 2 * Cin >= Cout take the Winograd path, whose
+    # transforms round differently from the composed graph's matmul
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=s) for s in ((batch, steps, c_in), (5, c_in, c_out), (1, 1, c_out))]
+    cot = Tensor(rng.normal(size=(batch, steps, c_out)))
+    results = []
+    for op in (composed_conv_relu, T.conv1d_relu):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        backward(T.tsum(out * cot))
+        results.append([out.data, *(leaf.grad for leaf in leaves)])
+    for ref, got in zip(*results):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_winograd_transforms_give_the_5_tap_correlation():
+    # A^T [(G g) * (B^T d)] over an 8-sample tile d is its 4 outputs
+    # y_i = sum_j d[i + j] g[j]
+    rng = np.random.default_rng(17)
+    assert (T._WINO_AT.shape, T._WINO_G.shape, T._WINO_BT.shape) == ((4, 8), (8, 5), (8, 8))
+    for _ in range(100):
+        d, g = rng.normal(size=8), rng.normal(size=5)
+        direct = np.array([d[i : i + 5] @ g for i in range(4)])
+        got = T._WINO_AT @ ((T._WINO_G @ g) * (T._WINO_BT @ d))
+        assert np.abs(got - direct).max() <= 1e-14 * np.abs(d).max() * np.abs(g).max()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ModelConfig(window_len=24, channels=3, classes=4),
+        tiny_gradcheck_config(),
+    ],
+    ids=["default", "gradcheck"],
+)
+def test_conv_blocks_after_the_first_take_the_winograd_path(monkeypatch, cfg):
+    # block 0 reads the raw channels (Cin 3), the later blocks d_model
+    # channels: the default model (d 128) and the gradient-check model (d 8)
+    paths = []
+    for name in ("_conv_im2col", "_conv_winograd"):
+
+        def recording(x, w, bias, conv=getattr(T, name), name=name):
+            paths.append(name)
+            return conv(x, w, bias)
+
+        monkeypatch.setattr(T, name, recording)
+    frames = np.random.default_rng(0).normal(size=(2, cfg.window_len, cfg.channels))
+    AttentionModel(cfg, seed=0).forward(frames, training=False)
+    assert paths == ["_conv_im2col"] + ["_conv_winograd"] * (cfg.conv_blocks - 1)
 
 
 def test_conv1d_relu_rejects_bad_shapes():
