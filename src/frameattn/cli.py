@@ -1,13 +1,14 @@
 """Operator commands: datagen | train | eval | gradcheck | ablate.
 
-Configuration has one path: defaults, then a config file, then command-line
-flags and ``--set section.key=value``.  The defaults are the field defaults
-of ``ModelConfig``, ``SynthConfig``, ``TrainConfig`` and ``LossConfig``; only
-the [data] section and ``model.disable`` are listed here.  The config file
-is INI-style (``key = value`` under [model]/[data]/[synthetic]/[train]/[loss]
-sections) or a ``run_config.json``, whose seed replaces ``--seed``.  Exit
-codes: 0 success, 1 configuration or checkpoint error, 2 data error,
-3 numeric abort.
+Configuration has one path: defaults, then a config file, then
+``--set section.key=value``; no other flag names a config key.  The defaults
+are the field defaults of ``ModelConfig``, ``SynthConfig``, ``TrainConfig``
+and ``LossConfig``; only the [data] section and ``model.disable`` are listed
+here.  The config file is INI-style (``key = value`` under
+[model]/[data]/[synthetic]/[train]/[loss] sections) or a ``run_config.json``,
+whose seed replaces ``--seed``.  Every failure, a malformed command line
+included, is a ``FrameAttnError`` and exits with its class's ``exit_code``
+(see ``errors.py``).
 
 A run directory holds ``run_config.json`` (the resolved configuration),
 ``normalizer.json`` (train-split channel stats), ``metrics.jsonl``,
@@ -43,14 +44,7 @@ from .data import (
     prepare_splits,
     write_sessions,
 )
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DataError,
-    FrameAttnError,
-    NumericError,
-    ShapeError,
-)
+from .errors import ConfigError, DataError, FrameAttnError, NumericError
 from .losses import LossConfig
 from .model import (
     AttentionModel,
@@ -166,7 +160,7 @@ def _merge(sections: dict[str, dict[str, str]], given: dict, source: str) -> Non
 
 
 class RunConfig:
-    """Resolved configuration: defaults <- config file <- CLI overrides."""
+    """Resolved configuration: defaults <- config file <- ``--set`` overrides."""
 
     def __init__(self, sections: dict[str, dict[str, str]], seed: int):
         self.sections = sections
@@ -217,15 +211,9 @@ class RunConfig:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict[str, dict[str, str]]:
-    # A flag overrides the config key its dest names; keys are unique
-    # across sections.
-    ov: dict[str, dict[str, str]] = {s: {} for s in DEFAULTS}
-    for section, keys in DEFAULTS.items():
-        for key in keys:
-            value = getattr(args, key, None)
-            if value is not None:
-                ov[section][key] = str(value)
-    for item in getattr(args, "set", None) or []:
+    """The ``--set section.key=value`` overrides, by section."""
+    ov: dict[str, dict[str, str]] = {}
+    for item in args.set or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"--set expects section.key=value, got '{item}'")
         dotted, value = item.split("=", 1)
@@ -323,14 +311,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     splits = _load_splits(args.data, run, stats=stats)
     model_cfg = _model_config_for(run, splits)
 
-    arrays = checkpoint_load(ckpt_path)
-    if "cls.w" in arrays and arrays["cls.w"].shape[1] != splits.classes:
-        raise ConfigError(
-            f"class count mismatch: checkpoint has {arrays['cls.w'].shape[1]}, "
-            f"data has {splits.classes}"
-        )
     model = AttentionModel(model_cfg, seed=run.seed)
-    model.load_state(arrays)
+    model.load_state(checkpoint_load(ckpt_path))
 
     frames = {"train": splits.train, "val": splits.val, "test": splits.test}[args.split]
     train_cfg = run.train_config()
@@ -388,8 +370,9 @@ def ablate(run: RunConfig, splits: DataSplits, cells: list[str], strategies: lis
     A point merges its strategy and batch size, then its cell's overrides,
     over ``run``; points that resolve alike (a cell that pins its strategy)
     train once.  Each seed's run directory is
-    ``out/<cell>_<strategy>_b<batch size>_s<seed>``.  A failing seed ends
-    its point, whose row then says why.
+    ``out/<cell>_<strategy>_b<batch size>_s<seed>``.  A seed whose training
+    diverges ends its point, whose row then says why; any other error is
+    not the seed's and ends the grid.
     """
     points: dict[tuple[str, str, int], dict] = {}
     for cell, strategy, bs in itertools.product(cells, strategies, batch_sizes):
@@ -406,7 +389,7 @@ def ablate(run: RunConfig, splits: DataSplits, cells: list[str], strategies: lis
             try:
                 result = _train_run(RunConfig(sections, seed), splits, cell_out)
                 scores.append(result.test_report.mean_f1)
-            except FrameAttnError as e:
+            except NumericError as e:
                 status, message = "failed", str(e)
                 print(f"cell {cell}/{strategy}/b{bs} seed {seed} failed: {e}", file=sys.stderr)
                 break
@@ -461,8 +444,17 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigError, not argparse's exit 2 (the data-error
+    code); ``--help`` still exits 0."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="frameattn", description=__doc__)
+    parser = _Parser(prog="frameattn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
@@ -474,30 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("datagen", help="generate synthetic sessions")
     common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--sessions", type=int)
-    p.add_argument("--session-len", dest="session_len", type=int)
-    p.add_argument("--context", choices=["true", "false"])
-    p.add_argument("--noise", type=float)
-    p.add_argument("--window", type=int)
     p.set_defaults(func=cmd_datagen)
 
     p = sub.add_parser("train", help="train a model")
     common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--strategy")
-    p.add_argument("--disable", help="comma list: intra,inter,pe,moe,gate")
-    p.add_argument("--heads", type=int)
-    p.add_argument("--experts", type=int)
-    p.add_argument("--d-model", dest="d_model", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--window", type=int)
-    p.add_argument("--step", type=int)
-    p.add_argument("--lam", type=float)
     p.add_argument("--dump-plan", action="store_true", help="emit per-epoch batch plans as JSON")
     p.set_defaults(func=cmd_train)
 
@@ -521,27 +495,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", default=TIME_SEQUENTIAL)
     p.add_argument("--batch-sizes", dest="batch_sizes", default="128")
     p.add_argument("--seeds", default="0,1,2")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
     p.set_defaults(func=cmd_ablate)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, ShapeError, CheckpointError) as e:
+    except FrameAttnError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return e.exit_code
 
 
 if __name__ == "__main__":

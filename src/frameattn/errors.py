@@ -1,12 +1,15 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError/ShapeError/CheckpointError
-exit 1, DataError (incl. ParseError) exit 2, NumericError exit 3.
+Each class carries the exit code the CLI returns for it: ``exit_code`` 1 for
+configuration, usage, shape and checkpoint errors, 2 for DataError
+(ParseError included), 3 for NumericError.
 """
 
 
 class FrameAttnError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
 
 
 class ShapeError(FrameAttnError):
@@ -14,11 +17,13 @@ class ShapeError(FrameAttnError):
 
 
 class ConfigError(FrameAttnError):
-    """Invalid or inconsistent configuration."""
+    """Invalid or inconsistent configuration, or a malformed command line."""
 
 
 class DataError(FrameAttnError):
     """Input data violates the expected layout or value ranges."""
+
+    exit_code = 2
 
 
 class ParseError(DataError):
@@ -31,3 +36,5 @@ class CheckpointError(FrameAttnError):
 
 class NumericError(FrameAttnError):
     """Non-finite values encountered during optimization."""
+
+    exit_code = 3

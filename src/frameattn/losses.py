@@ -107,6 +107,9 @@ class MetricsAccumulator:
         self.fn += np.bincount(labels[~hit], minlength=self.classes)
 
     def report(self) -> MetricsReport:
+        """Per-class F1 and its unweighted mean over all ``classes``: a class
+        with no true or predicted instance scores 0 (the 0/0 guard) and still
+        counts in the divisor."""
         denom = 2 * self.tp + self.fp + self.fn
         with np.errstate(divide="ignore", invalid="ignore"):
             f1 = np.where(denom > 0, 2.0 * self.tp / np.where(denom > 0, denom, 1), 0.0)
@@ -117,14 +120,3 @@ class MetricsAccumulator:
             per_class_f1=f1,
             mean_f1=float(f1.mean()),
         )
-
-
-def mean_f1(predictions: np.ndarray, labels: np.ndarray, classes: int) -> MetricsReport:
-    """Unweighted mean over all ``classes`` of per-class F1.
-
-    Classes with no true or predicted instances contribute 0 to the average
-    (the 0/0 guard), but still count in the divisor.
-    """
-    acc = MetricsAccumulator(classes)
-    acc.update(np.asarray(predictions), np.asarray(labels))
-    return acc.report()

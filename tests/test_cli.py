@@ -4,12 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from frameattn import cli, errors
 from frameattn.cli import (
     COMPONENT_CELLS,
     DEFAULTS,
     RunConfig,
     _load_splits,
-    _overrides_from_args,
     ablate,
     build_parser,
     main,
@@ -75,7 +75,7 @@ def test_datagen_same_seed_byte_identical(tmp_path, tiny_config):
 
 
 def test_datagen_single_class_is_config_error(tmp_path):
-    code = main(["datagen", "--out", str(tmp_path / "x"), "--classes", "1"])
+    code = main(["datagen", "--out", str(tmp_path / "x"), "--set", "synthetic.classes=1"])
     assert code == 1
 
 
@@ -123,7 +123,7 @@ def test_train_records_strategy_in_metrics(tmp_path, tiny_config, dataset):
         run_dir = tmp_path / strategy
         code = main([
             "train", "--config", tiny_config, "--data", dataset, "--out", str(run_dir),
-            "--strategy", strategy,
+            "--set", f"train.strategy={strategy}",
         ])
         assert code == 0
         records = [json.loads(l) for l in (run_dir / "metrics.jsonl").read_text().splitlines()]
@@ -141,20 +141,21 @@ def test_train_disable_flags_build_baseline(tmp_path, tiny_config, dataset):
     run_dir = tmp_path / "run"
     code = main([
         "train", "--config", tiny_config, "--data", dataset, "--out", str(run_dir),
-        "--disable", "intra,inter,pe,moe,gate", "--lam", "0", "--heads", "2",
+        "--set", "model.disable=intra,inter,pe,moe,gate", "--set", "loss.lam=0",
+        "--set", "model.heads=2",
     ])
     assert code == 0
     resolved = json.loads((run_dir / "run_config.json").read_text())
     assert resolved["model"]["disable"] == "intra,inter,pe,moe,gate"
-    assert resolved["loss"]["lam"] == "0.0"
+    assert resolved["loss"]["lam"] == "0"
 
 
 def test_train_unknown_disable_flag_exit_1(tmp_path, tiny_config, dataset, capsys):
-    # "focal" is not a stage: plain cross-entropy is --lam 0
+    # "focal" is not a stage: plain cross-entropy is loss.lam=0
     for flag in ("warp", "focal"):
         code = main([
             "train", "--config", tiny_config, "--data", dataset,
-            "--out", str(tmp_path / "run"), "--disable", flag,
+            "--out", str(tmp_path / "run"), "--set", f"model.disable={flag}",
         ])
         assert code == 1
         assert f"unknown disable flags: ['{flag}']" in capsys.readouterr().err
@@ -191,21 +192,10 @@ def test_eval_class_count_mismatch_exit_1(tmp_path, tiny_config, dataset):
     main(["train", "--config", tiny_config, "--data", dataset, "--out", str(run_dir)])
     other_data = tmp_path / "data6"
     assert main(["datagen", "--config", tiny_config, "--out", str(other_data),
-                 "--classes", "6", "--seed", "5"]) == 0
+                 "--set", "synthetic.classes=6", "--seed", "5"]) == 0
     code = main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"),
                  "--data", str(other_data)])
     assert code == 1
-
-
-def test_flags_override_config_keys_by_dest():
-    args = build_parser().parse_args([
-        "train", "--data", "d", "--out", "o", "--d-model", "16", "--step", "4", "--lam", "0.1",
-    ])
-    ov = _overrides_from_args(args)
-    assert ov["model"] == {"d_model": "16"}
-    assert ov["data"] == {"step": "4"}
-    assert ov["loss"] == {"lam": "0.1"}
-    assert ov["train"] == ov["synthetic"] == {}
 
 
 def test_ablate_batch_size_flag_sets_the_grid_batch_sizes():
@@ -213,12 +203,6 @@ def test_ablate_batch_size_flag_sets_the_grid_batch_sizes():
     args = build_parser().parse_args(["ablate", "--data", "d", "--out", "o", "--batch-size", "8"])
     assert args.batch_sizes == "8"
     assert "batch_size" not in vars(args)
-
-
-def test_defaults_keys_are_unique_across_sections():
-    # _overrides_from_args maps a flag dest to its key in whichever section
-    keys = [key for values in DEFAULTS.values() for key in values]
-    assert len(keys) == len(set(keys))
 
 
 def test_resolved_defaults_build_every_dataclass_as_its_defaults():
@@ -270,6 +254,123 @@ def test_config_errors_exit_1_naming_section_and_key(tmp_path, capsys, config, e
     assert code == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("train", "model.experts=0", "experts must be >= 1, got 0"),
+        ("train", "model.d_model=7", "d_model must be even and >= 2, got 7"),
+        ("train", "model.dropout=1", "dropout must be in [0, 1), got 1.0"),
+        ("train", "model.conv_blocks=0", "conv_blocks must be >= 1, got 0"),
+        ("train", "train.epochs=0", "epochs must be >= 1, got 0"),
+        ("train", "train.epochs=abc", "[train] epochs must be an integer, got 'abc'"),
+        ("train", "train.batch_size=0", "batch_size must be >= 1, got 0"),
+        ("train", "train.lr=0", "lr must be > 0, got 0.0"),
+        ("train", "train.lr_factor=1", "lr_factor must be in (0, 1), got 1.0"),
+        ("train", "train.plateau_patience=0", "plateau_patience must be >= 1, got 0"),
+        ("train", "train.weight_decay=-1", "weight_decay/min_lr/clip_norm out of range"),
+        ("train", "train.min_lr=0", "weight_decay/min_lr/clip_norm out of range"),
+        ("train", "train.clip_norm=-1", "weight_decay/min_lr/clip_norm out of range"),
+        ("ablate", "train.epochs=abc", "[train] epochs must be an integer, got 'abc'"),
+        ("datagen", "synthetic.channels=0", "channels must be >= 1, got 0"),
+        ("datagen", "synthetic.sessions=0", "sessions must be >= 1, got 0"),
+        ("datagen", "data.window=1", "window must be >= 2, got 1"),
+        ("datagen", "synthetic.session_len=10", "session_len (10) too short for window 24"),
+        ("datagen", "synthetic.noise=-1", "noise must be >= 0, got -1.0"),
+    ],
+)
+def test_bad_config_value_exit_1_with_its_message(
+    tmp_path, tiny_config, request, capsys, command, setting, message
+):
+    out = tmp_path / "out"
+    args = [command, "--out", str(out), "--set", setting]
+    if command != "datagen":
+        args += ["--config", tiny_config, "--data", request.getfixturevalue("dataset")]
+    assert main(args) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_on_one_class_data_exit_1(tmp_path, tiny_config, capsys):
+    data_dir = tmp_path / "one_class"
+    data_dir.mkdir()
+    for i in range(3):
+        rows = "".join(f"{t},{0.1 * t},{i},{-t},0\n" for t in range(40))
+        (data_dir / f"session_{i}.csv").write_text("t,ch1,ch2,ch3,label\n" + rows)
+    code = main(["train", "--config", tiny_config, "--data", str(data_dir),
+                 "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert "classes must be >= 2, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["train", "--data", "d", "--out", "o", "--epochs", "5"],
+         "unrecognized arguments: --epochs 5"),
+        (["datagen", "--out", "o", "--context", "false"], "unrecognized arguments: --context"),
+        (["train", "--out", "o"], "the following arguments are required: --data"),
+        (["eval", "--checkpoint", "c", "--data", "d", "--split", "bogus"],
+         "argument --split: invalid choice: 'bogus'"),
+        (["gradcheck", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["removed-alias", "removed-datagen-alias", "missing-data", "split-choice", "seed-int",
+         "no-command"],
+)
+def test_usage_errors_exit_1(tmp_path, capsys, args, message):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: frameattn")
+    assert message in err
+
+
+@pytest.mark.parametrize("command", ["datagen", "train", "eval", "gradcheck", "ablate"])
+def test_help_exits_0_and_lists_no_config_key_flag(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    flags = {word.strip("[],").lstrip("-").replace("-", "_")
+             for word in out.split() if word.startswith(("--", "[--"))}
+    keys = {key for values in DEFAULTS.values() for key in values}
+    assert "set" in flags
+    assert not flags & keys
+
+
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys):
+    codes = {
+        errors.FrameAttnError: 1,
+        errors.ConfigError: 1,
+        errors.ShapeError: 1,
+        errors.CheckpointError: 1,
+        errors.DataError: 2,
+        errors.ParseError: 2,
+        errors.NumericError: 3,
+    }
+    classes, todo = set(), [errors.FrameAttnError]
+    while todo:
+        cls = todo.pop()
+        classes.add(cls)
+        todo += cls.__subclasses__()
+    assert classes == set(codes)
+    for cls, code in codes.items():
+        def fail(*args, cls=cls, **kw):
+            raise cls(f"injected {cls.__name__}")
+
+        monkeypatch.setattr(cli, "parameter_gradcheck_report", fail)
+        assert main(["gradcheck"]) == code
+        assert f"error: injected {cls.__name__}" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_divergence_exit_3(tmp_path, tiny_config, dataset, capsys):
+    code = main(["train", "--config", tiny_config, "--data", dataset,
+                 "--out", str(tmp_path / "run"), "--set", "train.lr=1e18",
+                 "--set", "train.weight_decay=1", "--set", "train.epochs=20"])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_train_sessions_shorter_than_window_exit_2(tmp_path, tiny_config, capsys):
@@ -443,7 +544,7 @@ def test_ablate_grid_and_csv(tmp_path, tiny_config, dataset):
     code = main([
         "ablate", "--config", tiny_config, "--data", dataset, "--out", str(out),
         "--cells", "baseline,full", "--strategies", "time_sequential,shuffled",
-        "--batch-sizes", "16", "--seeds", "0,1", "--epochs", "1",
+        "--batch-sizes", "16", "--seeds", "0,1", "--set", "train.epochs=1",
     ])
     assert code == 0
     with open(out / "ablation.csv") as fh:
@@ -463,7 +564,7 @@ def test_ablate_rows_match_cli_csv_and_cells_are_run_directories(
     assert main([
         "ablate", "--config", tiny_config, "--data", dataset, "--out", str(out),
         "--cells", ",".join(cells), "--strategies", "time_sequential",
-        "--batch-sizes", "16", "--seeds", "0,1", "--epochs", "1",
+        "--batch-sizes", "16", "--seeds", "0,1", "--set", "train.epochs=1",
     ]) == 0
     with open(out / "ablation.csv") as fh:
         csv_rows = list(csv.DictReader(fh))
@@ -494,7 +595,7 @@ def test_ablate_dedupes_pinned_strategy_cells(tmp_path, tiny_config, dataset):
     code = main([
         "ablate", "--config", tiny_config, "--data", dataset, "--out", str(out),
         "--cells", "isolated", "--strategies", "time_sequential,shuffled",
-        "--batch-sizes", "16", "--seeds", "0", "--epochs", "1",
+        "--batch-sizes", "16", "--seeds", "0", "--set", "train.epochs=1",
     ])
     assert code == 0
     with open(out / "ablation.csv") as fh:
@@ -509,6 +610,22 @@ def test_ablate_unknown_cell_exit_1(tmp_path, tiny_config, dataset):
         "--out", str(tmp_path / "abl"), "--cells", "everything",
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [("train.lr=-1", "lr must be > 0, got -1.0"),
+     ("model.heads=3", "d_model (8) must be divisible by heads (3)")],
+)
+def test_ablate_config_error_exit_1_without_csv(tmp_path, tiny_config, dataset, capsys,
+                                                setting, message):
+    # only divergence depends on the seed; any other error is the whole grid's
+    out = tmp_path / "abl"
+    code = main(["ablate", "--config", tiny_config, "--data", dataset, "--out", str(out),
+                 "--cells", "full", "--seeds", "0,1", "--set", setting])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "ablation.csv").exists()
 
 
 @pytest.mark.parametrize(

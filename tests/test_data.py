@@ -13,6 +13,7 @@ from frameattn.data import (
     Recording,
     SynthConfig,
     WindowSpec,
+    _ChainIter,
     apply_normalizer,
     build_frames,
     fit_normalizer,
@@ -347,6 +348,19 @@ def test_synthetic_context_pairs_share_signature_group():
 def test_synthetic_no_context_gives_distinct_groups():
     cfg = SynthConfig(classes=4, context=False)
     assert signature_groups(cfg) == [0, 1, 2, 3]
+
+
+def test_synthetic_plain_chain_never_repeats_and_is_deterministic():
+    cfg = SynthConfig(classes=3, context=False, sessions=2, session_len=2000, seed=8)
+    chain = _ChainIter(cfg, np.random.default_rng(0), start=1)
+    walk = [chain.current] + [chain.next_class() for _ in range(300)]
+    assert all(a != b for a, b in zip(walk, walk[1:]))
+    assert set(walk) == {0, 1, 2}
+    a, b = generate_synthetic(cfg), generate_synthetic(cfg)
+    for ra, rb in zip(a, b):
+        np.testing.assert_array_equal(ra.samples, rb.samples)
+        np.testing.assert_array_equal(ra.labels, rb.labels)
+    assert {int(c) for r in a for c in np.unique(r.labels)} == {0, 1, 2}
 
 
 def test_synthetic_context_needs_four_classes():

@@ -111,6 +111,12 @@ def test_config_rejects_unknown_disable_flag():
         tiny_cfg(disabled=frozenset({"everything"}))
 
 
+def test_config_rejects_no_channels():
+    # unreachable from the CLI: a session file's header names at least one channel
+    with pytest.raises(ConfigError, match="channels must be >= 1, got 0"):
+        tiny_cfg(channels=0)
+
+
 def test_forward_rejects_wrong_channel_count(model):
     with pytest.raises(ConfigError):
         model.forward(np.zeros((2, 16, 5)))

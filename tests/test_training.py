@@ -404,6 +404,24 @@ def test_train_aborts_on_divergence_with_diagnostics(tmp_path):
               train_config(lr=1e18, epochs=20, weight_decay=1.0), tmp_path)
 
 
+def test_train_clips_the_global_gradient_norm(tmp_path, monkeypatch):
+    # every raw gradient norm is far above the bound, so each step sees it
+    # scaled to exactly clip_norm
+    norms = []
+
+    class RecordedAdamW(AdamW):
+        def step(self):
+            norms.append(sum(float((p.grad**2).sum()) for p in self.params.values()) ** 0.5)
+            super().step()
+
+    monkeypatch.setattr(training, "AdamW", RecordedAdamW)
+    splits = small_splits(sessions=3, session_len=600)
+    train(model_config(), splits.train, splits.val, splits.test,
+          train_config(epochs=1, clip_norm=1e-6), tmp_path)
+    assert norms
+    np.testing.assert_allclose(norms, 1e-6, rtol=1e-9)
+
+
 def test_train_rejects_non_finite_gradient_before_update(tmp_path, monkeypatch):
     opts, before = [], []
 
