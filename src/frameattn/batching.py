@@ -4,7 +4,10 @@ Time-sequential plans keep each batch a chronological run of frames from a
 single session; only the order in which batches are visited is re-randomized
 per epoch (contents are epoch-invariant).  Shuffled plans permute frames
 globally per epoch before chunking.  Both keep the final partial batch and
-partition the frame set exactly once per epoch.
+partition the frame set exactly once per epoch.  ``build_plan`` is the one
+plan builder.  A run's strategy and batch size come from its ``TrainConfig``,
+which rejects a strategy outside ``STRATEGIES``; in an ablation only the grid
+sets them, never a cell.
 """
 
 from __future__ import annotations
@@ -30,66 +33,38 @@ class BatchPlan:
     seed: int
     batches: tuple[tuple[int, ...], ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "batches": [list(b) for b in self.batches],
-        }
+
+def _chunks(indices: Sequence[int], batch_size: int) -> list[tuple[int, ...]]:
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    return [tuple(indices[s : s + batch_size]) for s in range(0, len(indices), batch_size)]
 
 
 def canonical_batches(frames: Sequence[Frame], batch_size: int) -> list[tuple[int, ...]]:
     """Session-pure chronological runs of ``batch_size`` frames, in
     (session, time) order; the final partial batch of a session is kept."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     by_session: dict[str, list[int]] = {}
     for i, f in enumerate(frames):
         by_session.setdefault(f.session_id, []).append(i)
-    batches = []
+    batches: list[tuple[int, ...]] = []
     for session in sorted(by_session):
         idx = sorted(by_session[session], key=lambda i: frames[i].chrono_index)
-        for start in range(0, len(idx), batch_size):
-            batches.append(tuple(idx[start : start + batch_size]))
+        batches += _chunks(idx, batch_size)
     return batches
-
-
-def time_sequential_batches(
-    frames: Sequence[Frame], batch_size: int, seed: int, epoch: int
-) -> BatchPlan:
-    """Chronological batches with the batch ORDER permuted per epoch."""
-    batches = canonical_batches(frames, batch_size)
-    rng = np.random.default_rng(mix64(seed, TAG_BATCH, epoch))
-    order = rng.permutation(len(batches))
-    return BatchPlan(
-        epoch=epoch,
-        strategy=TIME_SEQUENTIAL,
-        seed=seed,
-        batches=tuple(batches[i] for i in order),
-    )
-
-
-def shuffled_batches(
-    frames: Sequence[Frame], batch_size: int, seed: int, epoch: int
-) -> BatchPlan:
-    """Frames permuted globally per epoch, then chunked."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    rng = np.random.default_rng(mix64(seed, TAG_BATCH, epoch))
-    perm = rng.permutation(len(frames))
-    batches = tuple(
-        tuple(int(i) for i in perm[start : start + batch_size])
-        for start in range(0, len(perm), batch_size)
-    )
-    return BatchPlan(epoch=epoch, strategy=SHUFFLED, seed=seed, batches=batches)
 
 
 def build_plan(
     strategy: str, frames: Sequence[Frame], batch_size: int, seed: int, epoch: int
 ) -> BatchPlan:
+    """The epoch's plan: the canonical batches in an order permuted per
+    epoch (time-sequential), or all frames permuted per epoch, then chunked
+    (shuffled)."""
+    rng = np.random.default_rng(mix64(seed, TAG_BATCH, epoch))
     if strategy == TIME_SEQUENTIAL:
-        return time_sequential_batches(frames, batch_size, seed, epoch)
-    if strategy == SHUFFLED:
-        return shuffled_batches(frames, batch_size, seed, epoch)
-    raise ConfigError(f"unknown batching strategy '{strategy}' (expected one of {STRATEGIES})")
+        canonical = canonical_batches(frames, batch_size)
+        batches = [canonical[i] for i in rng.permutation(len(canonical))]
+    elif strategy == SHUFFLED:
+        batches = _chunks(rng.permutation(len(frames)).tolist(), batch_size)
+    else:
+        raise ConfigError(f"unknown batching strategy '{strategy}' (expected one of {STRATEGIES})")
+    return BatchPlan(epoch=epoch, strategy=strategy, seed=seed, batches=tuple(batches))

@@ -15,8 +15,9 @@ A run directory holds ``run_config.json`` (the resolved configuration),
 ``checkpoint.bin`` and, with ``--dump-plan``, ``plans.jsonl``; ``eval``
 needs only the checkpoint's directory and the data.  ``train`` writes one
 run directory and ``ablate`` one per grid point and seed.  An ablation cell
-is a set of config overrides (``COMPONENT_CELLS``), merged over the run's
-configuration after the grid point's strategy and batch size.
+overrides only [model] and [loss] (``COMPONENT_CELLS``); the grid point sets
+the strategy and batch size.  Every ``TrainConfig`` a command uses is built,
+and so checked, before any data is read.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .batching import SHUFFLED, STRATEGIES, TIME_SEQUENTIAL
+from .batching import TIME_SEQUENTIAL
 from .data import (
     DataSplits,
     NormStats,
@@ -81,9 +82,11 @@ DEFAULTS = {
     "loss": _field_defaults(LossConfig),
 }
 
-# Component ablation cells, as config overrides, mirroring the five-row
-# component study (baseline / intra / inter / both / full) plus a
-# frame-isolated reference.  baseline to both train with plain cross-entropy.
+# Component ablation cells, as [model] and [loss] overrides, mirroring the
+# five-row component study (baseline / intra / inter / both / full) plus a
+# reference without the across-frame stages.  baseline to both train with
+# plain cross-entropy.  The ablation grid sets each point's [train] strategy
+# and batch size.
 _CROSS_ENTROPY = {"loss": {"lam": "0"}}
 COMPONENT_CELLS = {
     "baseline": {"model": {"disable": "intra,inter,pe,moe,gate"}, **_CROSS_ENTROPY},
@@ -91,9 +94,10 @@ COMPONENT_CELLS = {
     "inter": {"model": {"disable": "intra,moe,gate"}, **_CROSS_ENTROPY},
     "both": {"model": {"disable": "moe,gate"}, **_CROSS_ENTROPY},
     "full": {"model": {"disable": ""}},
-    # No positional or across-frame pathways, batches shuffled: the model
-    # sees every frame in isolation.
-    "isolated": {"model": {"disable": "inter,pe,gate"}, "train": {"strategy": SHUFFLED}},
+    # No inter-frame attention, positional code or gate.  Not yet frame-
+    # isolated: the multi-head stage still attends across the batch
+    # (ROADMAP item 1).
+    "isolated": {"model": {"disable": "inter,pe,gate"}},
 }
 
 
@@ -114,13 +118,6 @@ _PARSERS = {
     "bool": (_parse_bool, "a boolean"),
     "str": (str, "a string"),
 }
-
-
-def _normalize_strategy(value: str) -> str:
-    v = value.strip().lower().replace("-", "_")
-    if v not in STRATEGIES:
-        raise ConfigError(f"unknown strategy '{value}' (expected one of {STRATEGIES})")
-    return v
 
 
 def _read_config(path: Path, seed: int) -> tuple[dict, int]:
@@ -192,13 +189,7 @@ class RunConfig:
         return cls(**given)
 
     def train_config(self) -> TrainConfig:
-        return self.build(
-            TrainConfig,
-            "train",
-            strategy=_normalize_strategy(self.sections["train"]["strategy"]),
-            seed=self.seed,
-            loss=self.build(LossConfig, "loss"),
-        )
+        return self.build(TrainConfig, "train", seed=self.seed, loss=self.build(LossConfig, "loss"))
 
     def resolved(self) -> dict:
         return {"seed": self.seed, **{s: dict(v) for s, v in self.sections.items()}}
@@ -279,11 +270,12 @@ def cmd_datagen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_run(run: RunConfig, splits: DataSplits, out: Path, dump_plans=False) -> TrainResult:
-    """Train one run into the run directory ``out``.  Both configs are built,
-    and so checked, before any file is written."""
+def _train_run(run: RunConfig, train_cfg: TrainConfig, splits: DataSplits, out: Path,
+               dump_plans=False) -> TrainResult:
+    """Train one run of ``run``'s ``train_cfg`` into the run directory
+    ``out``.  The model config is built, and so checked, before any file is
+    written."""
     model_cfg = _model_config_for(run, splits)
-    train_cfg = run.train_config()
     run.write_resolved(out)
     _write_normalizer(splits.stats, out)
     return train(
@@ -293,7 +285,9 @@ def _train_run(run: RunConfig, splits: DataSplits, out: Path, dump_plans=False) 
 
 def cmd_train(args: argparse.Namespace) -> int:
     run = RunConfig.load(args.config, _overrides_from_args(args), args.seed)
-    result = _train_run(run, _load_splits(args.data, run), Path(args.out), args.dump_plan)
+    train_cfg = run.train_config()
+    splits = _load_splits(args.data, run)
+    result = _train_run(run, train_cfg, splits, Path(args.out), args.dump_plan)
     print(
         f"best epoch {result.best_epoch} (val mean F1 {result.best_val_f1:.4f}); "
         f"test mean F1 {result.test_report.mean_f1:.4f}"
@@ -307,6 +301,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     saved = run_dir / "run_config.json"
     config = args.config or (saved if saved.is_file() else None)
     run = RunConfig.load(config, _overrides_from_args(args), args.seed)
+    train_cfg = run.train_config()
     stats = _read_normalizer(run_dir / "normalizer.json")
     splits = _load_splits(args.data, run, stats=stats)
     model_cfg = _model_config_for(run, splits)
@@ -315,7 +310,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model.load_state(checkpoint_load(ckpt_path))
 
     frames = {"train": splits.train, "val": splits.val, "test": splits.test}[args.split]
-    train_cfg = run.train_config()
     loss, report = evaluate(model, frames, train_cfg.batch_size, train_cfg.loss, splits.classes)
     print(f"split {args.split}: mean F1 {report.mean_f1:.6f}, loss {loss:.6f}")
     print("class  tp  fp  fn  f1")
@@ -363,31 +357,34 @@ def _int_list(flag: str, text: str) -> list[int]:
     return values
 
 
-def ablate(run: RunConfig, splits: DataSplits, cells: list[str], strategies: list[str],
+def ablate(run: RunConfig, data_dir: str, cells: list[str], strategies: list[str],
            batch_sizes: list[int], seeds: list[int], out: Path) -> list[dict]:
     """Train each grid point once per seed and return one row per point.
 
-    A point merges its strategy and batch size, then its cell's overrides,
-    over ``run``; points that resolve alike (a cell that pins its strategy)
-    train once.  Each seed's run directory is
-    ``out/<cell>_<strategy>_b<batch size>_s<seed>``.  A seed whose training
-    diverges ends its point, whose row then says why; any other error is
-    not the seed's and ends the grid.
+    A point merges its strategy and batch size, then its cell's [model] and
+    [loss] overrides, over ``run``.  The data is read once, after every
+    point's ``TrainConfig`` is built for every seed.  Each seed's run
+    directory is ``out/<cell>_<strategy>_b<batch size>_s<seed>``.  A seed whose
+    training diverges ends its point, whose row then says why; any other
+    error is not the seed's and ends the grid.
     """
-    points: dict[tuple[str, str, int], dict] = {}
+    points = []
     for cell, strategy, bs in itertools.product(cells, strategies, batch_sizes):
         sections = {s: dict(v) for s, v in run.sections.items()}
         _merge(sections, {"train": {"strategy": strategy, "batch_size": bs}}, "the ablation grid")
         _merge(sections, COMPONENT_CELLS[cell], f"ablation cell '{cell}'")
-        points.setdefault((cell, sections["train"]["strategy"], bs), sections)
+        train_cfgs = [RunConfig(sections, seed).train_config() for seed in seeds]
+        points.append((cell, strategy, bs, sections, train_cfgs))
+    splits = _load_splits(data_dir, run)
 
     rows = []
-    for (cell, strategy, bs), sections in points.items():
+    for cell, strategy, bs, sections, train_cfgs in points:
         scores, status, message = [], "ok", ""
-        for seed in seeds:
+        for train_cfg in train_cfgs:
+            seed = train_cfg.seed
             cell_out = out / f"{cell}_{strategy}_b{bs}_s{seed}"
             try:
-                result = _train_run(RunConfig(sections, seed), splits, cell_out)
+                result = _train_run(RunConfig(sections, seed), train_cfg, splits, cell_out)
                 scores.append(result.test_report.mean_f1)
             except NumericError as e:
                 status, message = "failed", str(e)
@@ -422,17 +419,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"unknown ablation cell '{cell}' (expected one of {sorted(COMPONENT_CELLS)})"
             )
-    strategies = [_normalize_strategy(s) for s in args.strategies.split(",") if s.strip()]
+    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     batch_sizes = _int_list("--batch-sizes", args.batch_sizes)
-    too_small = [bs for bs in batch_sizes if bs < 1]
-    if too_small:
-        raise ConfigError(f"--batch-sizes must be >= 1, got {too_small} in '{args.batch_sizes}'")
     seeds = _int_list("--seeds", args.seeds)
     if not (cells and strategies and batch_sizes and seeds):
         raise ConfigError("ablation grid must have at least one cell/strategy/batch size/seed")
-    splits = _load_splits(args.data, run)
     out = Path(args.out)
-    rows = ablate(run, splits, cells, strategies, batch_sizes, seeds, out)
+    rows = ablate(run, args.data, cells, strategies, batch_sizes, seeds, out)
 
     out.mkdir(parents=True, exist_ok=True)
     table_path = out / "ablation.csv"

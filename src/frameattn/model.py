@@ -108,26 +108,26 @@ class ModelConfig:
 class ForwardTrace:
     """Every intermediate of one forward pass, for inspection and tests.
 
-    Attention weight fields hold the softmax outputs (rows sum to 1):
-    ``intra_weights`` is (B, T), ``inter_weights`` (B, B), ``head_weights``
-    (heads, B, B) and ``moe_weights`` (B, E).  Disabled stages leave their
-    fields as None.
+    Attention weight fields hold the softmax outputs as plain arrays (rows
+    sum to 1): ``intra_weights`` is (B, T), ``inter_weights`` (B, B),
+    ``head_weights`` (heads, B, B) and ``moe_weights`` (B, E).  Disabled
+    stages leave their fields as None.
     """
 
     x_bar: Tensor
     x_pe: Tensor
     a_intra: Tensor | None
-    intra_weights: Tensor | None
+    intra_weights: np.ndarray | None
     a_inter: Tensor | None
-    inter_weights: Tensor | None
+    inter_weights: np.ndarray | None
     a_com: Tensor
     x_att: Tensor
     a_mul: Tensor
-    head_weights: Tensor
+    head_weights: np.ndarray
     gate: Tensor | None
     o_gated: Tensor
     o_moe: Tensor
-    moe_weights: Tensor | None
+    moe_weights: np.ndarray | None
     logits: Tensor
 
 
@@ -155,24 +155,21 @@ def backbone_features(frames: Tensor, params: dict, cfg: ModelConfig) -> Tensor:
     return feats
 
 
-def intra_attention(feats: Tensor, params: dict) -> tuple[Tensor, Tensor]:
+def intra_attention(feats: Tensor, params: dict) -> tuple[Tensor, np.ndarray]:
     """Attention-pool the timesteps of each frame into one vector.
 
     Scores per timestep are w2 . tanh(w1 . x_t + b1); the softmax runs over
     the timesteps of a frame.  A bias on the scores would shift every
     timestep's score alike and so could not change the weights.
     """
-    pooled, weights = T.attention_pool(
-        feats, params["intra.w1"], params["intra.b1"], params["intra.w2"]
-    )
-    return pooled, Tensor(weights)
+    return T.attention_pool(feats, params["intra.w1"], params["intra.b1"], params["intra.w2"])
 
 
-def inter_attention(x: Tensor, params: dict) -> tuple[Tensor, Tensor]:
+def inter_attention(x: Tensor, params: dict) -> tuple[Tensor, np.ndarray]:
     """Single-head scaled dot-product attention across the frames of the
     batch; returns the (B, d) summaries and the (B, B) weights."""
     out, weights = T.attention(x @ params["inter.wqkv"], 1)
-    return out, Tensor(weights[0])
+    return out, weights[0]
 
 
 def combine_attention(a_inter: Tensor, a_intra: Tensor, alpha: Tensor) -> Tensor:
@@ -185,12 +182,14 @@ def fuse_features(x_bar: Tensor, a_com: Tensor, params: dict) -> Tensor:
     return T.concat([x_bar, a_com], axis=1) @ params["cat.w"]
 
 
-def multi_head_attention(x: Tensor, params: dict, cfg: ModelConfig) -> tuple[Tensor, Tensor]:
+def multi_head_attention(
+    x: Tensor, params: dict, cfg: ModelConfig
+) -> tuple[Tensor, np.ndarray]:
     """h parallel scaled dot-product attentions over the batch, concatenated
     and output-projected; returns the (B, d) output and the (h, B, B)
     weights."""
     out, weights = T.attention(x @ params["mh.wqkv"], cfg.heads)
-    return out @ params["mh.wo"], Tensor(weights)
+    return out @ params["mh.wo"], weights
 
 
 def gate_values(x_att: Tensor, params: dict) -> Tensor:
@@ -201,13 +200,12 @@ def apply_gate(gate: Tensor, a_mul: Tensor, x_enhanced: Tensor) -> Tensor:
     return T.mix(gate, a_mul, x_enhanced)
 
 
-def moe_layer(x: Tensor, params: dict) -> tuple[Tensor, Tensor]:
+def moe_layer(x: Tensor, params: dict) -> tuple[Tensor, np.ndarray]:
     """Softmax-weighted mixture of the E stacked two-layer feed-forward
     experts; returns the (B, d) mixture and the (B, E) weights."""
-    out, weights = T.mixture_of_experts(
+    return T.mixture_of_experts(
         x, *(params[f"moe.{k}"] for k in ("gate.w", "w1", "b1", "w2", "b2"))
     )
-    return out, Tensor(weights)
 
 
 class AttentionModel:

@@ -12,14 +12,14 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .batching import TIME_SEQUENTIAL, build_plan, canonical_batches
+from .batching import STRATEGIES, TIME_SEQUENTIAL, build_plan, canonical_batches
 from .data import Frame
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 from .losses import LossConfig, MetricsAccumulator, MetricsReport, combined_loss
@@ -58,6 +58,8 @@ class TrainConfig:
             raise ConfigError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
         if self.weight_decay < 0 or self.min_lr <= 0 or self.clip_norm < 0:
             raise ConfigError("weight_decay/min_lr/clip_norm out of range")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"strategy must be one of {STRATEGIES}, got '{self.strategy}'")
 
 
 class AdamW:
@@ -302,7 +304,7 @@ def train(
         for epoch in range(cfg.epochs):
             plan = build_plan(cfg.strategy, train_frames, cfg.batch_size, cfg.seed, epoch)
             if dump_plans:
-                pfh.write(json.dumps(plan.to_json_dict()) + "\n")
+                pfh.write(json.dumps(asdict(plan)) + "\n")
             acc = MetricsAccumulator(classes)
             loss_sum = 0.0
             for b, batch in enumerate(plan.batches):
@@ -338,11 +340,8 @@ def train(
                 best_epoch = epoch
                 checkpoint_save(model.state_arrays(), checkpoint_path)
 
-        best_model = AttentionModel(model_cfg, seed=cfg.seed)
-        best_model.load_state(checkpoint_load(checkpoint_path))
-        test_loss, test_report = evaluate(
-            best_model, test_frames, cfg.batch_size, cfg.loss, classes
-        )
+        model.load_state(checkpoint_load(checkpoint_path))
+        test_loss, test_report = evaluate(model, test_frames, cfg.batch_size, cfg.loss, classes)
         record(best_epoch, "test", test_report, test_loss)
 
     return TrainResult(

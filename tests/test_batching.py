@@ -1,14 +1,16 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from frameattn.batching import (
     SHUFFLED,
+    STRATEGIES,
     TIME_SEQUENTIAL,
     BatchPlan,
     build_plan,
     canonical_batches,
-    shuffled_batches,
-    time_sequential_batches,
 )
 from frameattn.data import Frame
 from frameattn.errors import ConfigError
@@ -39,20 +41,20 @@ def assert_partition(plan: BatchPlan, n: int):
 
 def test_time_sequential_single_session_contents():
     frames = make_frames({"s": 10})
-    plan = time_sequential_batches(frames, 4, seed=0, epoch=0)
+    plan = build_plan(TIME_SEQUENTIAL, frames, 4, seed=0, epoch=0)
     contents = sorted(plan.batches, key=lambda b: b[0])
     assert contents == [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9)]
 
 
 def test_time_sequential_single_batch_when_b_exceeds_n():
     frames = make_frames({"s": 5})
-    plan = time_sequential_batches(frames, 16, seed=0, epoch=0)
+    plan = build_plan(TIME_SEQUENTIAL, frames, 16, seed=0, epoch=0)
     assert plan.batches == ((0, 1, 2, 3, 4),)
 
 
 def test_time_sequential_contents_invariant_order_varies():
     frames = make_frames({"s": 40})
-    plans = [time_sequential_batches(frames, 4, seed=7, epoch=e) for e in range(5)]
+    plans = [build_plan(TIME_SEQUENTIAL, frames, 4, seed=7, epoch=e) for e in range(5)]
     base = set(plans[0].batches)
     assert all(set(p.batches) == base for p in plans)
     assert any(p.batches != plans[0].batches for p in plans[1:])
@@ -60,7 +62,7 @@ def test_time_sequential_contents_invariant_order_varies():
 
 def test_time_sequential_batches_are_session_pure_and_chronological():
     frames = make_frames({"a": 13, "b": 9, "c": 21})
-    plan = time_sequential_batches(frames, 5, seed=3, epoch=2)
+    plan = build_plan(TIME_SEQUENTIAL, frames, 5, seed=3, epoch=2)
     assert_partition(plan, 43)
     for batch in plan.batches:
         sessions = {frames[i].session_id for i in batch}
@@ -72,8 +74,8 @@ def test_time_sequential_batches_are_session_pure_and_chronological():
 
 def test_shuffled_partition_and_determinism():
     frames = make_frames({"a": 17, "b": 14})
-    p1 = shuffled_batches(frames, 8, seed=5, epoch=1)
-    p2 = shuffled_batches(frames, 8, seed=5, epoch=1)
+    p1 = build_plan(SHUFFLED, frames, 8, seed=5, epoch=1)
+    p2 = build_plan(SHUFFLED, frames, 8, seed=5, epoch=1)
     assert p1 == p2
     assert_partition(p1, 31)
 
@@ -81,7 +83,7 @@ def test_shuffled_partition_and_determinism():
 def test_shuffled_batches_are_rarely_chronological():
     frames = make_frames({"s": 1000})
     for seed in range(5):
-        plan = shuffled_batches(frames, 128, seed=seed, epoch=0)
+        plan = build_plan(SHUFFLED, frames, 128, seed=seed, epoch=0)
         for batch in plan.batches:
             if len(batch) < 3:
                 continue
@@ -91,8 +93,8 @@ def test_shuffled_batches_are_rarely_chronological():
 
 def test_shuffled_contents_vary_across_epochs():
     frames = make_frames({"s": 64})
-    p0 = shuffled_batches(frames, 8, seed=0, epoch=0)
-    p1 = shuffled_batches(frames, 8, seed=0, epoch=1)
+    p0 = build_plan(SHUFFLED, frames, 8, seed=0, epoch=0)
+    p1 = build_plan(SHUFFLED, frames, 8, seed=0, epoch=1)
     assert set(p0.batches) != set(p1.batches)
 
 
@@ -102,6 +104,18 @@ def test_empty_frame_list_gives_empty_plan():
         assert plan.batches == ()
 
 
+def test_plan_json_lines_are_pinned():
+    # the RNG draws per strategy and the plans.jsonl record format
+    frames = make_frames({"a": 5, "b": 4})
+    lines = [json.dumps(asdict(build_plan(s, frames, 3, seed=9, epoch=2))) for s in STRATEGIES]
+    assert lines == [
+        '{"epoch": 2, "strategy": "time_sequential", "seed": 9, '
+        '"batches": [[0, 1, 2], [8], [3, 4], [5, 6, 7]]}',
+        '{"epoch": 2, "strategy": "shuffled", "seed": 9, '
+        '"batches": [[1, 4, 3], [8, 2, 0], [7, 5, 6]]}',
+    ]
+
+
 def test_build_plan_rejects_unknown_strategy():
     with pytest.raises(ConfigError):
         build_plan("alphabetical", make_frames({"s": 4}), 2, seed=0, epoch=0)
@@ -109,9 +123,9 @@ def test_build_plan_rejects_unknown_strategy():
 
 def test_batch_size_validation():
     with pytest.raises(ConfigError):
-        time_sequential_batches(make_frames({"s": 4}), 0, seed=0, epoch=0)
+        build_plan(TIME_SEQUENTIAL, make_frames({"s": 4}), 0, seed=0, epoch=0)
     with pytest.raises(ConfigError):
-        shuffled_batches(make_frames({"s": 4}), 0, seed=0, epoch=0)
+        build_plan(SHUFFLED, make_frames({"s": 4}), 0, seed=0, epoch=0)
 
 
 def test_canonical_batches_order_is_session_then_time():
@@ -131,10 +145,10 @@ def test_sampler_properties_random_cases():
         seed = int(rng.integers(0, 10_000))
         frames = make_frames(counts)
 
-        seq0 = time_sequential_batches(frames, batch_size, seed, epoch=0)
-        seq0_again = time_sequential_batches(frames, batch_size, seed, epoch=0)
-        seq1 = time_sequential_batches(frames, batch_size, seed, epoch=1)
-        shuf = shuffled_batches(frames, batch_size, seed, epoch=0)
+        seq0 = build_plan(TIME_SEQUENTIAL, frames, batch_size, seed, epoch=0)
+        seq0_again = build_plan(TIME_SEQUENTIAL, frames, batch_size, seed, epoch=0)
+        seq1 = build_plan(TIME_SEQUENTIAL, frames, batch_size, seed, epoch=1)
+        shuf = build_plan(SHUFFLED, frames, batch_size, seed, epoch=0)
 
         assert seq0 == seq0_again  # determinism
         assert_partition(seq0, n)
@@ -146,7 +160,7 @@ def test_sampler_properties_random_cases():
         assert set(seq0.batches) == set(seq1.batches)  # epoch-invariant contents
         if len(seq0.batches) >= 4:
             others = [
-                time_sequential_batches(frames, batch_size, seed, epoch=e).batches
+                build_plan(TIME_SEQUENTIAL, frames, batch_size, seed, epoch=e).batches
                 for e in range(1, 5)
             ]
             assert any(o != seq0.batches for o in others)

@@ -9,7 +9,6 @@ from frameattn.cli import (
     COMPONENT_CELLS,
     DEFAULTS,
     RunConfig,
-    _load_splits,
     ablate,
     build_parser,
     main,
@@ -119,7 +118,7 @@ def test_eval_twice_is_identical(tmp_path, tiny_config, dataset, capsys):
 
 
 def test_train_records_strategy_in_metrics(tmp_path, tiny_config, dataset):
-    for strategy in ("time-sequential", "shuffled"):
+    for strategy in ("time_sequential", "shuffled"):
         run_dir = tmp_path / strategy
         code = main([
             "train", "--config", tiny_config, "--data", dataset, "--out", str(run_dir),
@@ -127,14 +126,32 @@ def test_train_records_strategy_in_metrics(tmp_path, tiny_config, dataset):
         ])
         assert code == 0
         records = [json.loads(l) for l in (run_dir / "metrics.jsonl").read_text().splitlines()]
-        expected = strategy.replace("-", "_")
-        assert all(r["strategy"] == expected for r in records)
+        assert all(r["strategy"] == strategy for r in records)
 
 
 def test_train_missing_data_dir_exit_2(tmp_path, tiny_config):
     code = main(["train", "--config", tiny_config, "--data", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "run")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("train", "train.lr=-1", "lr must be > 0, got -1.0"),
+        ("train", "train.strategy=bogus", "strategy must be one of"),
+        ("train", "loss.lam=-1", "loss lam must be in [0, 1], got -1.0"),
+        ("ablate", "train.lr=-1", "lr must be > 0, got -1.0"),
+    ],
+)
+def test_train_config_error_exit_1_before_reading_data(tmp_path, capsys, command, setting,
+                                                       message):
+    # a missing data directory would exit 2, so exit 1 shows the config is checked first
+    out = tmp_path / "out"
+    code = main([command, "--data", "/nonexistent", "--out", str(out), "--set", setting])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_disable_flags_build_baseline(tmp_path, tiny_config, dataset):
@@ -272,6 +289,8 @@ def test_config_errors_exit_1_naming_section_and_key(tmp_path, capsys, config, e
         ("train", "train.weight_decay=-1", "weight_decay/min_lr/clip_norm out of range"),
         ("train", "train.min_lr=0", "weight_decay/min_lr/clip_norm out of range"),
         ("train", "train.clip_norm=-1", "weight_decay/min_lr/clip_norm out of range"),
+        ("train", "train.strategy=time-sequential",
+         "strategy must be one of ('time_sequential', 'shuffled'), got 'time-sequential'"),
         ("ablate", "train.epochs=abc", "[train] epochs must be an integer, got 'abc'"),
         ("datagen", "synthetic.channels=0", "channels must be >= 1, got 0"),
         ("datagen", "synthetic.sessions=0", "sessions must be >= 1, got 0"),
@@ -494,6 +513,16 @@ def test_eval_malformed_run_config_exit_1(tmp_path, dataset, capsys, run_config)
     assert err.startswith("error:") and "run_config.json" in err
 
 
+def test_eval_run_config_with_strategy_alias_exit_1(tmp_path, dataset, capsys):
+    # each strategy has one spelling; the config is checked before the run directory is read
+    checkpoint = write_run_dir(tmp_path / "run", "{}")
+    run = RunConfig.load(None, {"train": {"strategy": "time-sequential"}}, seed=0)
+    run.write_resolved(tmp_path / "run")
+    code = main(["eval", "--checkpoint", checkpoint, "--data", dataset])
+    assert code == 1
+    assert "got 'time-sequential'" in capsys.readouterr().err
+
+
 def test_eval_non_finite_checkpoint_value_exit_1(tmp_path, tiny_config, dataset, capsys):
     run_dir = tmp_path / "run"
     main(["train", "--config", tiny_config, "--data", dataset, "--out", str(run_dir)])
@@ -570,10 +599,9 @@ def test_ablate_rows_match_cli_csv_and_cells_are_run_directories(
         csv_rows = list(csv.DictReader(fh))
 
     run = RunConfig.load(tiny_config, {"train": {"epochs": "1"}}, seed=0)
-    rows = ablate(run, _load_splits(dataset, run), cells, ["time_sequential"], [16], [0, 1],
-                  tmp_path / "direct")
+    rows = ablate(run, dataset, cells, ["time_sequential"], [16], [0, 1], tmp_path / "direct")
     assert [{k: str(v) for k, v in row.items()} for row in rows] == csv_rows
-    assert [r["strategy"] for r in csv_rows] == ["time_sequential"] * 5 + ["shuffled"]
+    assert [r["strategy"] for r in csv_rows] == ["time_sequential"] * 6
     assert all(r["status"] == "ok" for r in csv_rows)
     capsys.readouterr()
 
@@ -590,18 +618,29 @@ def test_ablate_rows_match_cli_csv_and_cells_are_run_directories(
             assert reported.split("mean F1 ", 1)[1].split(",")[0] == f1
 
 
-def test_ablate_dedupes_pinned_strategy_cells(tmp_path, tiny_config, dataset):
+def test_ablate_context_by_strategy_grid_trains_every_point(tmp_path, tiny_config, dataset):
+    # the paper's 2x2 grid: context vs isolated model x time-sequential vs shuffled batches
     out = tmp_path / "abl"
     code = main([
         "ablate", "--config", tiny_config, "--data", dataset, "--out", str(out),
-        "--cells", "isolated", "--strategies", "time_sequential,shuffled",
+        "--cells", "full,isolated", "--strategies", "time_sequential,shuffled",
         "--batch-sizes", "16", "--seeds", "0", "--set", "train.epochs=1",
     ])
     assert code == 0
     with open(out / "ablation.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 1
-    assert rows[0]["strategy"] == "shuffled"
+    points = [(r["cell"], r["strategy"]) for r in rows]
+    assert points == [("full", "time_sequential"), ("full", "shuffled"),
+                      ("isolated", "time_sequential"), ("isolated", "shuffled")]
+    for cell, strategy in points:
+        resolved = json.loads((out / f"{cell}_{strategy}_b16_s0/run_config.json").read_text())
+        assert resolved["train"]["strategy"] == strategy
+
+
+def test_component_cells_override_only_model_and_loss():
+    # the grid owns [train]'s strategy and batch size, and one data load serves every cell
+    for cell, overrides in COMPONENT_CELLS.items():
+        assert set(overrides) <= {"model", "loss"}, cell
 
 
 def test_ablate_unknown_cell_exit_1(tmp_path, tiny_config, dataset):
@@ -635,9 +674,10 @@ def test_ablate_config_error_exit_1_without_csv(tmp_path, tiny_config, dataset, 
         ("--batch-sizes", "16,1.5", "--batch-sizes must be comma-separated integers"),
         ("--seeds", "0,1,00", "--seeds repeats [0] in '0,1,00'"),
         ("--batch-sizes", "16,8,16", "--batch-sizes repeats [16] in '16,8,16'"),
-        ("--batch-sizes", "0", "--batch-sizes must be >= 1, got [0] in '0'"),
-        ("--batch-sizes", "-8", "--batch-sizes must be >= 1, got [-8] in '-8'"),
+        ("--batch-sizes", "0", "batch_size must be >= 1, got 0"),
+        ("--batch-sizes", "-8", "batch_size must be >= 1, got -8"),
         ("--cells", "full,everything", "unknown ablation cell 'everything'"),
+        ("--strategies", "time-sequential", "got 'time-sequential'"),
     ],
 )
 def test_ablate_bad_grid_exit_1_before_reading_data(tmp_path, capsys, flag, value, message):
