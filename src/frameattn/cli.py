@@ -1,23 +1,26 @@
 """Operator commands: datagen | train | eval | gradcheck | ablate.
 
-Configuration has one path: defaults, then a config file, then
-``--set section.key=value``; no other flag names a config key.  The defaults
-are the field defaults of ``ModelConfig``, ``SynthConfig``, ``TrainConfig``
-and ``LossConfig``; only the [data] section and ``model.disable`` are listed
-here.  The config file is INI-style (``key = value`` under
-[model]/[data]/[synthetic]/[train]/[loss] sections) or a ``run_config.json``,
-whose seed replaces ``--seed``.  Every failure, a malformed command line
-included, is a ``FrameAttnError`` and exits with its class's ``exit_code``
-(see ``errors.py``).
+Configuration has one path, the same for every command: defaults, then an
+INI config file (``--config``; ``key = value`` under
+[model]/[data]/[synthetic]/[train]/[loss] sections), then
+``--set section.key=value``; no other flag names a config key.  The seeds are
+keys too: ``train.seed`` and ``synthetic.seed``.  The defaults are the field
+defaults of ``ModelConfig``, ``SynthConfig``, ``TrainConfig`` and
+``LossConfig``; only the [data] section and ``model.disable`` are listed
+here.  Every failure, a malformed command line included, is a
+``FrameAttnError`` and exits with its class's ``exit_code`` (see
+``errors.py``).
 
-A run directory holds ``run_config.json`` (the resolved configuration),
-``normalizer.json`` (train-split channel stats), ``metrics.jsonl``,
-``checkpoint.bin`` and, with ``--dump-plan``, ``plans.jsonl``; ``eval``
-needs only the checkpoint's directory and the data.  ``train`` writes one
-run directory and ``ablate`` one per grid point and seed.  An ablation cell
-overrides only [model] and [loss] (``COMPONENT_CELLS``); the grid point sets
-the strategy and batch size.  Every ``TrainConfig`` a command uses is built,
-and so checked, before any data is read.
+A run directory holds ``run_config.ini`` (the resolved configuration, in the
+``--config`` format), ``normalizer.json`` (train-split channel stats),
+``metrics.jsonl``, ``checkpoint.bin`` and, with ``--dump-plan``,
+``plans.jsonl``; ``eval`` reads the checkpoint's directory (its
+``run_config.ini`` unless ``--config`` is given) and the data.  ``train``
+writes one run directory and ``ablate`` one per grid point and seed.  An
+ablation cell overrides only [model] and [loss] (``COMPONENT_CELLS``); the
+grid point sets the strategy, batch size and seed.  Every [data] value and
+every config a command uses is built, and so checked, before any data is
+read; the model's channel and class counts come from the data.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import itertools
 import json
 import statistics
 import sys
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +43,7 @@ from .data import (
     NormStats,
     SynthConfig,
     WindowSpec,
+    check_split_sizes,
     generate_synthetic,
     load_recordings,
     prepare_splits,
@@ -60,11 +64,11 @@ GRADCHECK_TOLERANCE = 1e-4
 
 def _field_defaults(cls) -> dict[str, str]:
     # Fields without a plain default come from the data or another section;
-    # the seed comes from --seed and the synthetic window from [data].
+    # the synthetic window comes from [data].
     return {
         f.name: str(f.default)
         for f in fields(cls)
-        if f.default is not MISSING and f.name not in ("seed", "window")
+        if f.default is not MISSING and f.name != "window"
     }
 
 
@@ -120,26 +124,16 @@ _PARSERS = {
 }
 
 
-def _read_config(path: Path, seed: int) -> tuple[dict, int]:
-    """The sections of an INI file or a ``run_config.json``, and the seed:
-    the JSON file's own, if it has one."""
+def _read_config(path: Path) -> dict[str, dict[str, str]]:
+    """The sections of an INI file, values taken literally."""
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        if path.suffix != ".json":
-            parser = configparser.ConfigParser()
-            parser.read(path)
-            return {s: dict(parser.items(s)) for s in parser.sections()}, seed
-        given = json.loads(path.read_text())
+        parser.read(path)
     except (configparser.Error, OSError, ValueError) as e:
         raise ConfigError(f"cannot parse config file {path}: {e}") from None
-    if not isinstance(given, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object of sections")
-    raw = given.pop("seed", seed)
-    try:
-        return given, int(str(raw))
-    except ValueError:
-        raise ConfigError(f"seed in {path} must be an integer, got {raw!r}") from None
+    return {s: dict(parser.items(s)) for s in parser.sections()}
 
 
 def _merge(sections: dict[str, dict[str, str]], given: dict, source: str) -> None:
@@ -148,8 +142,6 @@ def _merge(sections: dict[str, dict[str, str]], given: dict, source: str) -> Non
     for section, values in given.items():
         if section not in sections:
             raise ConfigError(f"unknown config section [{section}] in {source}")
-        if not isinstance(values, dict):
-            raise ConfigError(f"section [{section}] in {source} must map keys to values")
         for key, value in values.items():
             if key not in sections[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}] of {source}")
@@ -159,18 +151,16 @@ def _merge(sections: dict[str, dict[str, str]], given: dict, source: str) -> Non
 class RunConfig:
     """Resolved configuration: defaults <- config file <- ``--set`` overrides."""
 
-    def __init__(self, sections: dict[str, dict[str, str]], seed: int):
+    def __init__(self, sections: dict[str, dict[str, str]]):
         self.sections = sections
-        self.seed = seed
 
     @classmethod
-    def load(cls, config_path: str | Path | None, overrides: dict[str, dict[str, str]], seed: int):
+    def load(cls, config_path: str | Path | None, overrides: dict[str, dict[str, str]]):
         sections = {name: dict(values) for name, values in DEFAULTS.items()}
         if config_path:
-            given, seed = _read_config(Path(config_path), seed)
-            _merge(sections, given, str(config_path))
+            _merge(sections, _read_config(Path(config_path)), str(config_path))
         _merge(sections, overrides, "the command line")
-        return cls(sections, seed)
+        return cls(sections)
 
     def value(self, section: str, key: str, kind: str):
         raw = self.sections[section][key]
@@ -189,16 +179,33 @@ class RunConfig:
         return cls(**given)
 
     def train_config(self) -> TrainConfig:
-        return self.build(TrainConfig, "train", seed=self.seed, loss=self.build(LossConfig, "loss"))
+        return self.build(TrainConfig, "train", loss=self.build(LossConfig, "loss"))
 
-    def resolved(self) -> dict:
-        return {"seed": self.seed, **{s: dict(v) for s, v in self.sections.items()}}
+    def model_config(self) -> ModelConfig:
+        """[model] at the [data] window.  ``channels`` and ``classes`` are
+        placeholders until ``_fit_to_data`` takes them from the data."""
+        return self.build(
+            ModelConfig,
+            "model",
+            window_len=self.value("data", "window", "int"),
+            channels=1,
+            classes=2,
+            disabled=frozenset(v.strip() for v in self.sections["model"]["disable"].split(",")
+                               if v.strip()),
+        )
+
+    def split_args(self) -> dict:
+        """``prepare_splits``'s [data] arguments."""
+        sizes = {k: self.value("data", k, "int") for k in ("val_sessions", "test_sessions")}
+        check_split_sizes(**sizes)
+        return {"spec": self.build(WindowSpec, "data"), **sizes}
 
     def write_resolved(self, out_dir: Path) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "run_config.json").write_text(
-            json.dumps(self.resolved(), indent=2, sort_keys=True) + "\n"
-        )
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_dict(self.sections)
+        with open(out_dir / "run_config.ini", "w") as fh:
+            parser.write(fh)
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict[str, dict[str, str]]:
@@ -213,26 +220,8 @@ def _overrides_from_args(args: argparse.Namespace) -> dict[str, dict[str, str]]:
     return ov
 
 
-def _load_splits(data_dir: str, run: RunConfig, stats: NormStats | None = None) -> DataSplits:
-    return prepare_splits(
-        load_recordings(data_dir),
-        run.build(WindowSpec, "data"),
-        val_sessions=run.value("data", "val_sessions", "int"),
-        test_sessions=run.value("data", "test_sessions", "int"),
-        stats=stats,
-    )
-
-
-def _model_config_for(run: RunConfig, splits: DataSplits) -> ModelConfig:
-    return run.build(
-        ModelConfig,
-        "model",
-        window_len=run.value("data", "window", "int"),
-        channels=splits.stats.mean.size,
-        classes=splits.classes,
-        disabled=frozenset(v.strip() for v in run.sections["model"]["disable"].split(",")
-                           if v.strip()),
-    )
+def _fit_to_data(model_cfg: ModelConfig, splits: DataSplits) -> ModelConfig:
+    return replace(model_cfg, channels=splits.stats.mean.size, classes=splits.classes)
 
 
 def _write_normalizer(stats: NormStats, out_dir: Path) -> None:
@@ -257,10 +246,8 @@ def _read_normalizer(path: Path) -> NormStats:
 
 
 def cmd_datagen(args: argparse.Namespace) -> int:
-    run = RunConfig.load(args.config, _overrides_from_args(args), args.seed)
-    cfg = run.build(
-        SynthConfig, "synthetic", window=run.value("data", "window", "int"), seed=run.seed
-    )
+    run = RunConfig.load(args.config, _overrides_from_args(args))
+    cfg = run.build(SynthConfig, "synthetic", window=run.value("data", "window", "int"))
     recordings = generate_synthetic(cfg)
     out = Path(args.out)
     sessions = [r.session_id for r in recordings]
@@ -270,12 +257,12 @@ def cmd_datagen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_run(run: RunConfig, train_cfg: TrainConfig, splits: DataSplits, out: Path,
-               dump_plans=False) -> TrainResult:
-    """Train one run of ``run``'s ``train_cfg`` into the run directory
-    ``out``.  The model config is built, and so checked, before any file is
-    written."""
-    model_cfg = _model_config_for(run, splits)
+def _train_run(run: RunConfig, train_cfg: TrainConfig, model_cfg: ModelConfig,
+               splits: DataSplits, out: Path, dump_plans=False) -> TrainResult:
+    """Train one run of ``run``'s configs into the run directory ``out``.
+    The model config is fitted to the data, and so checked, before any file
+    is written."""
+    model_cfg = _fit_to_data(model_cfg, splits)
     run.write_resolved(out)
     _write_normalizer(splits.stats, out)
     return train(
@@ -284,10 +271,10 @@ def _train_run(run: RunConfig, train_cfg: TrainConfig, splits: DataSplits, out: 
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    run = RunConfig.load(args.config, _overrides_from_args(args), args.seed)
-    train_cfg = run.train_config()
-    splits = _load_splits(args.data, run)
-    result = _train_run(run, train_cfg, splits, Path(args.out), args.dump_plan)
+    run = RunConfig.load(args.config, _overrides_from_args(args))
+    train_cfg, model_cfg, split_args = run.train_config(), run.model_config(), run.split_args()
+    splits = prepare_splits(load_recordings(args.data), **split_args)
+    result = _train_run(run, train_cfg, model_cfg, splits, Path(args.out), args.dump_plan)
     print(
         f"best epoch {result.best_epoch} (val mean F1 {result.best_val_f1:.4f}); "
         f"test mean F1 {result.test_report.mean_f1:.4f}"
@@ -298,15 +285,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     ckpt_path = Path(args.checkpoint)
     run_dir = ckpt_path.parent
-    saved = run_dir / "run_config.json"
-    config = args.config or (saved if saved.is_file() else None)
-    run = RunConfig.load(config, _overrides_from_args(args), args.seed)
-    train_cfg = run.train_config()
+    run = RunConfig.load(args.config or run_dir / "run_config.ini", _overrides_from_args(args))
+    train_cfg, model_cfg, split_args = run.train_config(), run.model_config(), run.split_args()
     stats = _read_normalizer(run_dir / "normalizer.json")
-    splits = _load_splits(args.data, run, stats=stats)
-    model_cfg = _model_config_for(run, splits)
+    splits = prepare_splits(load_recordings(args.data), **split_args, stats=stats)
 
-    model = AttentionModel(model_cfg, seed=run.seed)
+    # every parameter comes from the checkpoint, so the init seed is immaterial
+    model = AttentionModel(_fit_to_data(model_cfg, splits))
     model.load_state(checkpoint_load(ckpt_path))
 
     frames = {"train": splits.train, "val": splits.val, "test": splits.test}[args.split]
@@ -332,7 +317,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    rows = parameter_gradcheck_report(tiny_gradcheck_config(), LossConfig(lam=0.5), seed=args.seed)
+    run = RunConfig.load(args.config, _overrides_from_args(args))
+    seed = run.value("train", "seed", "int")
+    rows = parameter_gradcheck_report(tiny_gradcheck_config(), LossConfig(lam=0.5), seed=seed)
     print(f"{'block':18s} max-rel-error")
     for name, err in rows:
         print(f"{name:18s} {err:.3e}  {'ok' if err < GRADCHECK_TOLERANCE else 'FAIL'}")
@@ -361,30 +348,35 @@ def ablate(run: RunConfig, data_dir: str, cells: list[str], strategies: list[str
            batch_sizes: list[int], seeds: list[int], out: Path) -> list[dict]:
     """Train each grid point once per seed and return one row per point.
 
-    A point merges its strategy and batch size, then its cell's [model] and
-    [loss] overrides, over ``run``.  The data is read once, after every
-    point's ``TrainConfig`` is built for every seed.  Each seed's run
+    A point merges its strategy, batch size and seed, then its cell's
+    [model] and [loss] overrides, over ``run``.  The data is read once, after
+    every point's configs are built for every seed.  Each seed's run
     directory is ``out/<cell>_<strategy>_b<batch size>_s<seed>``.  A seed whose
     training diverges ends its point, whose row then says why; any other
     error is not the seed's and ends the grid.
     """
+    split_args = run.split_args()
     points = []
     for cell, strategy, bs in itertools.product(cells, strategies, batch_sizes):
-        sections = {s: dict(v) for s, v in run.sections.items()}
-        _merge(sections, {"train": {"strategy": strategy, "batch_size": bs}}, "the ablation grid")
-        _merge(sections, COMPONENT_CELLS[cell], f"ablation cell '{cell}'")
-        train_cfgs = [RunConfig(sections, seed).train_config() for seed in seeds]
-        points.append((cell, strategy, bs, sections, train_cfgs))
-    splits = _load_splits(data_dir, run)
+        runs = []
+        for seed in seeds:
+            sections = {s: dict(v) for s, v in run.sections.items()}
+            grid = {"train": {"strategy": strategy, "batch_size": bs, "seed": seed}}
+            _merge(sections, grid, "the ablation grid")
+            _merge(sections, COMPONENT_CELLS[cell], f"ablation cell '{cell}'")
+            seed_run = RunConfig(sections)
+            runs.append((seed_run, seed_run.train_config(), seed_run.model_config()))
+        points.append((cell, strategy, bs, runs))
+    splits = prepare_splits(load_recordings(data_dir), **split_args)
 
     rows = []
-    for cell, strategy, bs, sections, train_cfgs in points:
+    for cell, strategy, bs, runs in points:
         scores, status, message = [], "ok", ""
-        for train_cfg in train_cfgs:
+        for seed_run, train_cfg, model_cfg in runs:
             seed = train_cfg.seed
             cell_out = out / f"{cell}_{strategy}_b{bs}_s{seed}"
             try:
-                result = _train_run(RunConfig(sections, seed), train_cfg, splits, cell_out)
+                result = _train_run(seed_run, train_cfg, model_cfg, splits, cell_out)
                 scores.append(result.test_report.mean_f1)
             except NumericError as e:
                 status, message = "failed", str(e)
@@ -397,7 +389,7 @@ def ablate(run: RunConfig, data_dir: str, cells: list[str], strategies: list[str
                 "cell": cell,
                 "strategy": strategy,
                 "batch_size": bs,
-                "disable": sections["model"]["disable"],
+                "disable": COMPONENT_CELLS[cell]["model"]["disable"],
                 "seeds": ";".join(str(s) for s in seeds),
                 "status": status,
                 "f1_mean": f"{f1_mean:.6f}" if scores else "",
@@ -412,7 +404,7 @@ def ablate(run: RunConfig, data_dir: str, cells: list[str], strategies: list[str
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    run = RunConfig.load(args.config, _overrides_from_args(args), args.seed)
+    run = RunConfig.load(args.config, _overrides_from_args(args))
     cells = [c.strip() for c in args.cells.split(",") if c.strip()]
     for cell in cells:
         if cell not in COMPONENT_CELLS:
@@ -451,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", default=None, help="INI file or run_config.json")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--config", default=None,
+                       help="INI config file, such as a run directory's run_config.ini")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override any config entry")
 

@@ -249,13 +249,17 @@ def build_frames(recordings: list[Recording], spec: WindowSpec) -> list[Frame]:
     return frames
 
 
+def check_split_sizes(val_sessions: int, test_sessions: int) -> None:
+    if val_sessions < 1 or test_sessions < 1:
+        raise ConfigError("val_sessions and test_sessions must each be >= 1")
+
+
 def split_by_session(
     recordings: list[Recording], val_sessions: int, test_sessions: int
 ) -> tuple[list[Recording], list[Recording], list[Recording]]:
     """Deterministic split: after sorting by session id, the last
     ``test_sessions`` are test, the ones before are validation."""
-    if val_sessions < 1 or test_sessions < 1:
-        raise ConfigError("val_sessions and test_sessions must each be >= 1")
+    check_split_sizes(val_sessions, test_sessions)
     ordered = sorted(recordings, key=lambda r: r.session_id)
     if len(ordered) < val_sessions + test_sessions + 1:
         raise DataError(

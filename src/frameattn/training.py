@@ -58,6 +58,8 @@ class TrainConfig:
             raise ConfigError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
         if self.weight_decay < 0 or self.min_lr <= 0 or self.clip_norm < 0:
             raise ConfigError("weight_decay/min_lr/clip_norm out of range")
+        if self.min_lr > self.lr:
+            raise ConfigError(f"min_lr ({self.min_lr}) must be <= lr ({self.lr})")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got '{self.strategy}'")
 

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,7 +52,8 @@ def tiny_config(tmp_path):
 @pytest.fixture
 def dataset(tmp_path, tiny_config):
     data_dir = tmp_path / "data"
-    assert main(["datagen", "--config", tiny_config, "--out", str(data_dir), "--seed", "5"]) == 0
+    assert main(["datagen", "--config", tiny_config, "--out", str(data_dir),
+                 "--set", "synthetic.seed=5"]) == 0
     return str(data_dir)
 
 
@@ -62,13 +64,14 @@ def test_datagen_default_session_count(tmp_path):
     assert code == 0
     assert len(list(out.glob("session_*.csv"))) == 6
     assert (out / "manifest.json").is_file()
-    assert (out / "run_config.json").is_file()
+    assert (out / "run_config.ini").is_file()
 
 
 def test_datagen_same_seed_byte_identical(tmp_path, tiny_config):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        assert main(["datagen", "--config", tiny_config, "--out", str(out), "--seed", "3"]) == 0
+        assert main(["datagen", "--config", tiny_config, "--out", str(out),
+                     "--set", "synthetic.seed=3"]) == 0
     for f in sorted(a.glob("*.csv")):
         assert f.read_bytes() == (b / f.name).read_bytes()
 
@@ -82,7 +85,7 @@ def test_train_and_eval_round_trip(tmp_path, tiny_config, dataset, capsys):
     run_dir = tmp_path / "run"
     code = main([
         "train", "--config", tiny_config, "--data", dataset, "--out", str(run_dir),
-        "--seed", "5",
+        "--set", "train.seed=5",
     ])
     assert code == 0
     reported = capsys.readouterr().out
@@ -91,7 +94,7 @@ def test_train_and_eval_round_trip(tmp_path, tiny_config, dataset, capsys):
 
     assert (run_dir / "checkpoint.bin").is_file()
     assert (run_dir / "metrics.jsonl").is_file()
-    assert (run_dir / "run_config.json").is_file()
+    assert (run_dir / "run_config.ini").is_file()
     assert (run_dir / "normalizer.json").is_file()
 
     code = main([
@@ -142,13 +145,27 @@ def test_train_missing_data_dir_exit_2(tmp_path, tiny_config):
         ("train", "train.strategy=bogus", "strategy must be one of"),
         ("train", "loss.lam=-1", "loss lam must be in [0, 1], got -1.0"),
         ("ablate", "train.lr=-1", "lr must be > 0, got -1.0"),
+        # the plateau scheduler's floor may not lie above its starting lr
+        ("train", "train.min_lr=1", "min_lr (1.0) must be <= lr (0.001)"),
+        *[
+            (command, setting, message)
+            for command in ("train", "ablate", "eval")
+            for setting, message in (
+                ("model.heads=3", "d_model (128) must be divisible by heads (3)"),
+                ("data.step=0", "step must satisfy 1 <= step <= window, got step=0, window=24"),
+                ("data.val_sessions=0", "val_sessions and test_sessions must each be >= 1"),
+            )
+        ],
     ],
 )
 def test_train_config_error_exit_1_before_reading_data(tmp_path, capsys, command, setting,
                                                        message):
     # a missing data directory would exit 2, so exit 1 shows the config is checked first
     out = tmp_path / "out"
-    code = main([command, "--data", "/nonexistent", "--out", str(out), "--set", setting])
+    args = [command, "--data", "/nonexistent", "--out", str(out), "--set", setting]
+    if command == "eval":
+        args += ["--checkpoint", write_run_dir(tmp_path / "run", '{"mean": [0], "std": [1]}')]
+    code = main(args)
     assert code == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -162,7 +179,7 @@ def test_train_disable_flags_build_baseline(tmp_path, tiny_config, dataset):
         "--set", "model.heads=2",
     ])
     assert code == 0
-    resolved = json.loads((run_dir / "run_config.json").read_text())
+    resolved = RunConfig.load(run_dir / "run_config.ini", {}).sections
     assert resolved["model"]["disable"] == "intra,inter,pe,moe,gate"
     assert resolved["loss"]["lam"] == "0"
 
@@ -198,7 +215,7 @@ def test_train_determinism_byte_identical_metrics(tmp_path, tiny_config, dataset
     for name in ("a", "b"):
         assert main([
             "train", "--config", tiny_config, "--data", dataset,
-            "--out", str(tmp_path / name), "--seed", "11",
+            "--out", str(tmp_path / name), "--set", "train.seed=11",
         ]) == 0
     assert (tmp_path / "a/metrics.jsonl").read_bytes() == (tmp_path / "b/metrics.jsonl").read_bytes()
     assert (tmp_path / "a/checkpoint.bin").read_bytes() == (tmp_path / "b/checkpoint.bin").read_bytes()
@@ -209,42 +226,86 @@ def test_eval_class_count_mismatch_exit_1(tmp_path, tiny_config, dataset):
     main(["train", "--config", tiny_config, "--data", dataset, "--out", str(run_dir)])
     other_data = tmp_path / "data6"
     assert main(["datagen", "--config", tiny_config, "--out", str(other_data),
-                 "--set", "synthetic.classes=6", "--seed", "5"]) == 0
+                 "--set", "synthetic.classes=6", "--set", "synthetic.seed=5"]) == 0
     code = main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"),
                  "--data", str(other_data)])
     assert code == 1
 
 
 def test_ablate_batch_size_flag_sets_the_grid_batch_sizes():
-    # ablate has no --batch-size of its own: the grid sets every cell's batch size
-    args = build_parser().parse_args(["ablate", "--data", "d", "--out", "o", "--batch-size", "8"])
-    assert args.batch_sizes == "8"
-    assert "batch_size" not in vars(args)
+    # ablate has no --batch-size or --seed of its own: the grid sets every
+    # cell's batch size and seed
+    args = build_parser().parse_args(["ablate", "--data", "d", "--out", "o", "--batch-size", "8",
+                                      "--seed", "3"])
+    assert (args.batch_sizes, args.seeds) == ("8", "3")
+    assert not {"batch_size", "seed"} & set(vars(args))
 
 
 def test_resolved_defaults_build_every_dataclass_as_its_defaults():
-    run = RunConfig.load(None, {}, seed=0)
-    assert run.build(WindowSpec, "data") == WindowSpec(window=24, step=12)
-    assert run.build(SynthConfig, "synthetic", window=24, seed=0) == SynthConfig(window=24)
+    run = RunConfig.load(None, {})
+    assert run.split_args() == {"spec": WindowSpec(window=24, step=12),
+                                "val_sessions": 1, "test_sessions": 1}
+    assert run.build(SynthConfig, "synthetic", window=24) == SynthConfig(window=24)
     assert run.train_config() == TrainConfig()
-    model = run.build(ModelConfig, "model", window_len=24, channels=3, classes=4,
-                      disabled=frozenset())
+    model = replace(run.model_config(), channels=3, classes=4)
     assert model == ModelConfig(window_len=24, channels=3, classes=4)
 
 
-def test_run_config_json_reloads_with_its_seed_and_old_spellings(tmp_path):
-    run = RunConfig.load(None, {}, seed=4)
-    run.write_resolved(tmp_path)
-    old = json.loads((tmp_path / "run_config.json").read_text())
-    old["train"].update(lr="1e-3", weight_decay="1e-2", min_lr="1e-6", clip_norm="0")
-    old["synthetic"]["context"] = "true"
-    (tmp_path / "old.json").write_text(json.dumps(old))
-    for path in (tmp_path / "run_config.json", tmp_path / "old.json"):
-        loaded = RunConfig.load(path, {}, seed=0)
-        assert loaded.seed == 4
+def test_run_config_ini_reloads_with_its_seeds_and_old_spellings(tmp_path):
+    run = RunConfig.load(None, {"train": {"seed": "4"}, "synthetic": {"seed": "7"}})
+    run.write_resolved(tmp_path / "new")
+    old = RunConfig({s: dict(v) for s, v in run.sections.items()})
+    old.sections["train"].update(lr="1e-3", weight_decay="1e-2", min_lr="1e-6", clip_norm="0")
+    old.sections["synthetic"]["context"] = "true"
+    old.write_resolved(tmp_path / "old")
+    assert RunConfig.load(tmp_path / "new/run_config.ini", {}).sections == run.sections
+    for path in (tmp_path / "new/run_config.ini", tmp_path / "old/run_config.ini"):
+        loaded = RunConfig.load(path, {})
         assert loaded.train_config() == run.train_config()
-        assert (loaded.build(SynthConfig, "synthetic", window=24, seed=4)
-                == run.build(SynthConfig, "synthetic", window=24, seed=4))
+        assert loaded.train_config().seed == 4
+        synth = loaded.build(SynthConfig, "synthetic", window=24)
+        assert synth == run.build(SynthConfig, "synthetic", window=24)
+        assert synth.seed == 7
+
+
+def test_set_seed_beats_the_config_file_seed(tmp_path):
+    path = tmp_path / "seeds.ini"
+    path.write_text("[train]\nseed = 1\n\n[synthetic]\nseed = 1\n")
+    assert RunConfig.load(path, {}).train_config().seed == 1
+    assert RunConfig.load(path, {"train": {"seed": "2"}}).train_config().seed == 2
+    out = tmp_path / "d"
+    assert main(["datagen", "--config", str(path), "--out", str(out), "--set", "synthetic.seed=2",
+                 "--set", "synthetic.session_len=800", "--set", "data.window=16"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 2
+    assert RunConfig.load(out / "run_config.ini", {}).sections["synthetic"]["seed"] == "2"
+
+
+@pytest.mark.parametrize("command", ["datagen", "train", "eval", "gradcheck", "ablate"])
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--config", "missing.ini"], "config file not found: missing.ini"),
+        (["--set", "garbage"], "--set expects section.key=value, got 'garbage'"),
+    ],
+    ids=["missing-config", "set-garbage"],
+)
+def test_every_command_checks_config_and_set_exit_1(tmp_path, monkeypatch, capsys, command,
+                                                    extra, message):
+    # a missing data directory would exit 2 and gradcheck would pass, so exit 1
+    # shows the command resolves its config first
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    args = {
+        "datagen": ["--out", str(out)],
+        "train": ["--data", "/nonexistent", "--out", str(out)],
+        "eval": ["--checkpoint", str(tmp_path / "run/checkpoint.bin"), "--data", "/nonexistent",
+                 "--out", str(out)],
+        "gradcheck": [],
+        "ablate": ["--data", "/nonexistent", "--out", str(out)],
+    }[command]
+    assert main([command, *args, *extra]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -332,11 +393,16 @@ def test_train_on_one_class_data_exit_1(tmp_path, tiny_config, capsys):
         (["train", "--out", "o"], "the following arguments are required: --data"),
         (["eval", "--checkpoint", "c", "--data", "d", "--split", "bogus"],
          "argument --split: invalid choice: 'bogus'"),
-        (["gradcheck", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        # the seeds are train.seed and synthetic.seed; ablate's --seed abbreviates --seeds
+        (["gradcheck", "--seed", "abc"], "unrecognized arguments: --seed abc"),
+        (["datagen", "--out", "o", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["train", "--data", "d", "--out", "o", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["eval", "--checkpoint", "c", "--data", "d", "--seed", "1"],
+         "unrecognized arguments: --seed 1"),
         ([], "the following arguments are required: command"),
     ],
     ids=["removed-alias", "removed-datagen-alias", "missing-data", "split-choice", "seed-int",
-         "no-command"],
+         "datagen-seed", "train-seed", "eval-seed", "no-command"],
 )
 def test_usage_errors_exit_1(tmp_path, capsys, args, message):
     assert main(args) == 1
@@ -404,8 +470,10 @@ def test_train_sessions_shorter_than_window_exit_2(tmp_path, tiny_config, capsys
     assert "the train split has no frames" in capsys.readouterr().err
 
 
-def write_run_dir(run_dir, normalizer: str, checkpoint: bytes = b"") -> str:
-    run_dir.mkdir()
+def write_run_dir(run_dir, normalizer: str, checkpoint: bytes = b"", config=None,
+                  overrides=None) -> str:
+    """A run directory holding the resolved ``config`` with ``overrides``."""
+    RunConfig.load(config, overrides or {}).write_resolved(run_dir)
     (run_dir / "normalizer.json").write_text(normalizer)
     (run_dir / "checkpoint.bin").write_bytes(checkpoint)
     return str(run_dir / "checkpoint.bin")
@@ -424,8 +492,8 @@ def write_run_dir(run_dir, normalizer: str, checkpoint: bytes = b"") -> str:
     ids=["bad-json", "missing-std", "ragged-mean", "zero-std", "negative-std", "nan-mean"],
 )
 def test_eval_malformed_normalizer_exit_2(tmp_path, tiny_config, dataset, capsys, normalizer):
-    checkpoint = write_run_dir(tmp_path / "run", normalizer)
-    code = main(["eval", "--config", tiny_config, "--checkpoint", checkpoint, "--data", dataset])
+    checkpoint = write_run_dir(tmp_path / "run", normalizer, config=tiny_config)
+    code = main(["eval", "--checkpoint", checkpoint, "--data", dataset])
     assert code == 2
     assert "normalizer.json" in capsys.readouterr().err
 
@@ -475,49 +543,61 @@ def test_train_non_utf8_session_exit_2(tmp_path, tiny_config, dataset, capsys):
 
 
 def test_eval_normalizer_channel_count_mismatch_exit_2(tmp_path, tiny_config, dataset, capsys):
-    checkpoint = write_run_dir(tmp_path / "run", '{"mean": [0, 0], "std": [1, 1]}')
-    code = main(["eval", "--config", tiny_config, "--checkpoint", checkpoint, "--data", dataset])
+    checkpoint = write_run_dir(tmp_path / "run", '{"mean": [0, 0], "std": [1, 1]}',
+                               config=tiny_config)
+    code = main(["eval", "--checkpoint", checkpoint, "--data", dataset])
     assert code == 2
     assert "2 channels, the data has 3" in capsys.readouterr().err
 
 
 def test_eval_v1_checkpoint_exit_1(tmp_path, tiny_config, dataset, capsys):
     checkpoint = write_run_dir(
-        tmp_path / "run", '{"mean": [0, 0, 0], "std": [1, 1, 1]}', b"FRAMEATTN v1\n"
+        tmp_path / "run", '{"mean": [0, 0, 0], "std": [1, 1, 1]}', b"FRAMEATTN v1\n", tiny_config
     )
-    code = main(["eval", "--config", tiny_config, "--checkpoint", checkpoint, "--data", dataset])
+    code = main(["eval", "--checkpoint", checkpoint, "--data", dataset])
     assert code == 1
     err = capsys.readouterr().err
     assert "FRAMEATTN v1" in err and "FRAMEATTN v2" in err
 
 
 @pytest.mark.parametrize(
-    "run_config",
+    "sections, message",
     [
-        "{not json",
-        "[1, 2]",
-        '{"seed": 0, "model": "d_model = 8"}',
-        '{"seed": "zero"}',
-        '{"seed": 0, "extra": {}}',
-        '{"seed": 0, "model": {"width": "8"}}',
+        ({"extra": {}}, "unknown config section [extra] in"),
+        ({"model": {"width": "8"}}, "unknown key 'width' in section [model] of"),
+        (None, "cannot parse config file"),
     ],
-    ids=["bad-json", "not-object", "section-not-object", "seed-not-integer",
-         "unknown-section", "unknown-key"],
+    ids=["unknown-section", "unknown-key", "ini-syntax"],
 )
-def test_eval_malformed_run_config_exit_1(tmp_path, dataset, capsys, run_config):
+def test_eval_malformed_run_config_exit_1(tmp_path, dataset, capsys, sections, message):
     checkpoint = write_run_dir(tmp_path / "run", '{"mean": [0, 0, 0], "std": [1, 1, 1]}')
-    (tmp_path / "run" / "run_config.json").write_text(run_config)
+    if sections is None:
+        (tmp_path / "run" / "run_config.ini").write_text("[model\nd_model = 8\n")
+    else:
+        RunConfig(sections).write_resolved(tmp_path / "run")
     code = main(["eval", "--checkpoint", checkpoint, "--data", dataset])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "run_config.json" in err
+    assert err.startswith("error:") and message in err and "run_config.ini" in err
+
+
+def test_eval_without_run_config_exit_1_unless_config_given(tmp_path, tiny_config, dataset,
+                                                            capsys):
+    # defaults would evaluate the checkpoint under a config it was not trained with
+    run_dir = tmp_path / "run"
+    main(["train", "--config", tiny_config, "--data", dataset, "--out", str(run_dir)])
+    (run_dir / "run_config.ini").unlink()
+    capsys.readouterr()
+    args = ["eval", "--checkpoint", str(run_dir / "checkpoint.bin"), "--data", dataset]
+    assert main(args) == 1
+    assert f"config file not found: {run_dir / 'run_config.ini'}" in capsys.readouterr().err
+    assert main([*args, "--config", tiny_config]) == 0
 
 
 def test_eval_run_config_with_strategy_alias_exit_1(tmp_path, dataset, capsys):
     # each strategy has one spelling; the config is checked before the run directory is read
-    checkpoint = write_run_dir(tmp_path / "run", "{}")
-    run = RunConfig.load(None, {"train": {"strategy": "time-sequential"}}, seed=0)
-    run.write_resolved(tmp_path / "run")
+    checkpoint = write_run_dir(tmp_path / "run", "{}",
+                               overrides={"train": {"strategy": "time-sequential"}})
     code = main(["eval", "--checkpoint", checkpoint, "--data", dataset])
     assert code == 1
     assert "got 'time-sequential'" in capsys.readouterr().err
@@ -546,12 +626,14 @@ def test_eval_set_override_applies_to_run_config(tmp_path, tiny_config, dataset,
 
 
 def test_gradcheck_command_passes(capsys):
-    assert main(["gradcheck", "--seed", "0"]) == 0
+    assert main(["gradcheck", "--set", "train.seed=0"]) == 0
     out = capsys.readouterr().out
     for block in ("backbone", "intra", "inter", "blend", "fusion", "multi-head",
                   "gate", "moe", "classifier", "loss", "composed"):
         assert block in out
     assert "passed" in out
+    assert main(["gradcheck", "--set", "train.seed=x"]) == 1
+    assert "[train] seed must be an integer, got 'x'" in capsys.readouterr().err
 
 
 def test_gradcheck_fault_injection_names_offending_block(capsys, monkeypatch, scale_backward):
@@ -560,7 +642,7 @@ def test_gradcheck_fault_injection_names_offending_block(capsys, monkeypatch, sc
     # large because the report's relative error floors its denominator at 1
     for op, block in (("attention_pool", "intra-attention"), ("conv1d_relu", "backbone")):
         scale_backward(op, 1000.0)
-        code = main(["gradcheck", "--seed", "0"])
+        code = main(["gradcheck"])
         monkeypatch.undo()
         out = capsys.readouterr().out
         assert code == 1
@@ -598,7 +680,7 @@ def test_ablate_rows_match_cli_csv_and_cells_are_run_directories(
     with open(out / "ablation.csv") as fh:
         csv_rows = list(csv.DictReader(fh))
 
-    run = RunConfig.load(tiny_config, {"train": {"epochs": "1"}}, seed=0)
+    run = RunConfig.load(tiny_config, {"train": {"epochs": "1"}})
     rows = ablate(run, dataset, cells, ["time_sequential"], [16], [0, 1], tmp_path / "direct")
     assert [{k: str(v) for k, v in row.items()} for row in rows] == csv_rows
     assert [r["strategy"] for r in csv_rows] == ["time_sequential"] * 6
@@ -608,8 +690,8 @@ def test_ablate_rows_match_cli_csv_and_cells_are_run_directories(
     for row in csv_rows:
         for seed, f1 in zip((0, 1), row["f1_per_seed"].split(";")):
             cell_dir = out / f"{row['cell']}_{row['strategy']}_b16_s{seed}"
-            resolved = json.loads((cell_dir / "run_config.json").read_text())
-            assert resolved["seed"] == seed
+            resolved = RunConfig.load(cell_dir / "run_config.ini", {}).sections
+            assert resolved["train"]["seed"] == str(seed)
             assert resolved["train"]["batch_size"] == "16"
             assert resolved["model"]["disable"] == row["disable"]
             assert main(["eval", "--checkpoint", str(cell_dir / "checkpoint.bin"),
@@ -633,7 +715,7 @@ def test_ablate_context_by_strategy_grid_trains_every_point(tmp_path, tiny_confi
     assert points == [("full", "time_sequential"), ("full", "shuffled"),
                       ("isolated", "time_sequential"), ("isolated", "shuffled")]
     for cell, strategy in points:
-        resolved = json.loads((out / f"{cell}_{strategy}_b16_s0/run_config.json").read_text())
+        resolved = RunConfig.load(out / f"{cell}_{strategy}_b16_s0/run_config.ini", {}).sections
         assert resolved["train"]["strategy"] == strategy
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from frameattn import tensor as T
 from frameattn import training
 from frameattn.data import SynthConfig, WindowSpec, generate_synthetic, prepare_splits
-from frameattn.errors import CheckpointError, NumericError
+from frameattn.errors import CheckpointError, ConfigError, NumericError
 from frameattn.losses import LossConfig, combined_loss
 from frameattn.model import AttentionModel, ModelConfig
 from frameattn.tensor import Tensor
@@ -167,6 +167,13 @@ def test_plateau_respects_min_lr():
     sched.step(1.0)
     assert sched.step(1.0) == 1e-6
     assert sched.step(1.0) == 1e-6
+
+
+def test_train_config_rejects_min_lr_above_lr():
+    # the scheduler's floor would otherwise raise the lr at the first plateau
+    assert TrainConfig(lr=1e-3, min_lr=1e-3).min_lr == 1e-3
+    with pytest.raises(ConfigError, match=r"min_lr \(1.0\) must be <= lr \(0.001\)"):
+        TrainConfig(lr=1e-3, min_lr=1.0)
 
 
 # checkpoints
