@@ -129,6 +129,7 @@ def _read_config(path: Path) -> dict[str, dict[str, str]]:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str  # keys are case-sensitive, as in --set
     try:
         parser.read(path)
     except (configparser.Error, OSError, ValueError) as e:
@@ -318,7 +319,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     run = RunConfig.load(args.config, _overrides_from_args(args))
-    seed = run.value("train", "seed", "int")
+    seed = run.train_config().seed  # both configs built, so checked, as in train
+    run.model_config()
     rows = parameter_gradcheck_report(tiny_gradcheck_config(), LossConfig(lam=0.5), seed=seed)
     print(f"{'block':18s} max-rel-error")
     for name, err in rows:
@@ -431,7 +433,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """A usage error is a ConfigError, not argparse's exit 2 (the data-error
-    code); ``--help`` still exits 0."""
+    code); ``--help`` still exits 0; a prefix of a flag is not that flag."""
+
+    def __init__(self, **kw):
+        super().__init__(allow_abbrev=False, **kw)
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -468,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("gradcheck", help="verify gradients on a tiny model")
+    p = sub.add_parser("gradcheck", help="verify gradients on the fixed tiny model "
+                       "(tiny_gradcheck_config); the config is checked, only train.seed used")
     common(p)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -11,8 +11,9 @@ tensors reused on several paths come out right: a leaf made with
 ``requires_grad=True`` owns a zeroed buffer, and an intermediate gets its
 gradient on first accumulation.  An intermediate's gradient is dropped as
 soon as its own rule has consumed it, since every contribution to it has
-arrived by then; leaves keep theirs.  Rules, parents and the arrays a rule
-keeps live as long as the graph does.
+arrived by then; leaves keep theirs.  ``backward`` releases the graph it
+walks: a node drops its rule and parents once the rule has run, freeing the
+arrays the rule kept, so a second ``backward`` through it raises.
 
 Besides elementwise, reduction and shape ops there are fused nodes with
 hand-written backward rules, one per stage of the classifier:
@@ -44,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, FrameAttnError, ShapeError
 
 Array = np.ndarray
 
@@ -661,14 +662,20 @@ def _winograd_transforms(points: Sequence[float], m: int, r: int) -> tuple[Array
 
 
 _WINO_AT, _WINO_G, _WINO_BT = _winograd_transforms((0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5), 4, 5)
+# Module state, like _grad_enabled: the autodiff is single-threaded.
+_workspace = np.empty(0)
 
 
 def _scratch(*shapes: tuple[int, ...]) -> list[Array]:
-    """Uninitialised arrays of the given shapes, all views of one buffer."""
+    """Uninitialised arrays of the given shapes, all views of one workspace
+    kept across calls, so valid only until the next call.  It grows to the
+    largest request and never shrinks, so its pages are faulted in once."""
+    global _workspace
     sizes = [math.prod(s) for s in shapes]
-    flat = np.empty(sum(sizes))
+    if _workspace.size < sum(sizes):
+        _workspace = np.empty(sum(sizes))
     ends = np.cumsum(sizes)
-    return [flat[end - size : end].reshape(s) for s, size, end in zip(shapes, sizes, ends)]
+    return [_workspace[end - size : end].reshape(s) for s, size, end in zip(shapes, sizes, ends)]
 
 
 def _conv_winograd(x: Tensor, w: Tensor, bias: Array) -> tuple[Array, Callable[[Array], None]]:
@@ -758,12 +765,13 @@ def conv1d_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     For backward, im2col keeps its columns (B*T, k*Cin) and Winograd its
     transformed input tiles (8, B*ceil(T/4), Cin): 15.7 and 6.3 MB per block
     at d_model 128, B 128.  Winograd's other arrays of a pass are views of
-    one buffer made per call by ``_scratch``, and so are its rule's.
-    Allocated one by one, glibc hands each back to the OS on free and the
-    next call faults fresh pages in: at d_model 128, B 128, 3,075 minor
-    faults per eval batch and 2,823 per training step (one buffer: 0 and 5),
-    which made the eval forward slower than im2col's.  A pool kept across
-    calls would hold its memory for the life of the process."""
+    the workspace that ``_scratch`` keeps across calls, and so are its
+    rule's.  Allocated one by one, glibc hands each back to the OS on free
+    and the next call faults fresh pages in: at d_model 128, B 128, 3,075
+    minor faults per eval batch and 2,823 per training step, which made the
+    eval forward slower than im2col's.  The workspace holds its memory for
+    the life of the process instead: 22.0 MB at d_model 128, B 128 and
+    1.4 MB at d_model 32, B 32, the rule's four arrays."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if (
         x.ndim != 3
@@ -806,12 +814,17 @@ def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     return _node(a.data * keep, (a,), rule)
 
 
+def _released(g: Array) -> None:
+    raise FrameAttnError("backward: the graph was already released by an earlier backward")
+
+
 def backward(loss: Tensor) -> None:
     """Add the gradient of ``loss`` into every leaf reachable from it.
 
     ``loss`` must be a scalar.  Gradients add onto whatever is already in the
-    leaf buffers, so callers zero parameter grads between steps.  Each
-    intermediate's ``grad`` is None again once its rule has run.
+    leaf buffers, so callers zero parameter grads between steps.  Once its
+    rule has run, an intermediate drops its ``grad``, rule and parents, so
+    what the rule kept is freed and a second walk raises FrameAttnError.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: expected scalar loss, got shape {loss.shape}")
@@ -834,10 +847,11 @@ def backward(loss: Tensor) -> None:
             order.append(node)
 
     _acc(loss, np.ones_like(loss.data))
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._rule is not None:
             node._rule(node.grad)
-            node.grad = None
+            node.grad, node._rule, node._parents = None, _released, ()
 
 
 def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:

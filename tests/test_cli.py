@@ -11,7 +11,6 @@ from frameattn.cli import (
     DEFAULTS,
     RunConfig,
     ablate,
-    build_parser,
     main,
 )
 from frameattn.data import SynthConfig, WindowSpec
@@ -232,13 +231,13 @@ def test_eval_class_count_mismatch_exit_1(tmp_path, tiny_config, dataset):
     assert code == 1
 
 
-def test_ablate_batch_size_flag_sets_the_grid_batch_sizes():
-    # ablate has no --batch-size or --seed of its own: the grid sets every
-    # cell's batch size and seed
-    args = build_parser().parse_args(["ablate", "--data", "d", "--out", "o", "--batch-size", "8",
-                                      "--seed", "3"])
-    assert (args.batch_sizes, args.seeds) == ("8", "3")
-    assert not {"batch_size", "seed"} & set(vars(args))
+def test_ablate_flag_prefixes_are_usage_errors(capsys):
+    # ablate has no --batch-size or --seed of its own (the grid sets every
+    # cell's batch size and seed), and neither is taken as a prefix of
+    # --batch-sizes or --seeds
+    for flag, value in (("--batch-size", "8"), ("--seed", "3")):
+        assert main(["ablate", "--data", "d", "--out", "o", flag, value]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_resolved_defaults_build_every_dataclass_as_its_defaults():
@@ -313,6 +312,10 @@ def test_every_command_checks_config_and_set_exit_1(tmp_path, monkeypatch, capsy
     [
         ("[modle]\nd_model = 8\n", [], "unknown config section [modle] in"),
         ("[model]\nwidth = 8\n", [], "unknown key 'width' in section [model] of"),
+        # file keys are case-sensitive, as --set keys are
+        ("[model]\nD_MODEL = 16\n", [], "unknown key 'D_MODEL' in section [model] of"),
+        ("", ["--set", "model.D_MODEL=16"],
+         "unknown key 'D_MODEL' in section [model] of the command line"),
         ("", ["--set", "synth.sessions=2"], "unknown config section [synth] in the command line"),
         ("", ["--set", "synthetic.width=2"], "unknown key 'width' in section [synthetic]"),
         ("", ["--set", "synthetic.sessions=many"],
@@ -322,8 +325,8 @@ def test_every_command_checks_config_and_set_exit_1(tmp_path, monkeypatch, capsy
          "[synthetic] context must be a boolean, got 'maybe'"),
         ("", ["--set", "sessions=2"], "--set expects section.key=value, got 'sessions=2'"),
     ],
-    ids=["ini-section", "ini-key", "set-section", "set-key", "int", "float", "bool",
-         "set-syntax"],
+    ids=["ini-section", "ini-key", "ini-key-case", "set-key-case", "set-section", "set-key",
+         "int", "float", "bool", "set-syntax"],
 )
 def test_config_errors_exit_1_naming_section_and_key(tmp_path, capsys, config, extra, message):
     path = tmp_path / "c.ini"
@@ -393,16 +396,18 @@ def test_train_on_one_class_data_exit_1(tmp_path, tiny_config, capsys):
         (["train", "--out", "o"], "the following arguments are required: --data"),
         (["eval", "--checkpoint", "c", "--data", "d", "--split", "bogus"],
          "argument --split: invalid choice: 'bogus'"),
-        # the seeds are train.seed and synthetic.seed; ablate's --seed abbreviates --seeds
+        # the seeds are train.seed and synthetic.seed
         (["gradcheck", "--seed", "abc"], "unrecognized arguments: --seed abc"),
         (["datagen", "--out", "o", "--seed", "1"], "unrecognized arguments: --seed 1"),
         (["train", "--data", "d", "--out", "o", "--seed", "1"], "unrecognized arguments: --seed 1"),
         (["eval", "--checkpoint", "c", "--data", "d", "--seed", "1"],
          "unrecognized arguments: --seed 1"),
         ([], "the following arguments are required: command"),
+        # a prefix of a live flag is not that flag
+        (["train", "--data", "d", "--out", "o", "--dump"], "unrecognized arguments: --dump"),
     ],
     ids=["removed-alias", "removed-datagen-alias", "missing-data", "split-choice", "seed-int",
-         "datagen-seed", "train-seed", "eval-seed", "no-command"],
+         "datagen-seed", "train-seed", "eval-seed", "no-command", "flag-prefix"],
 )
 def test_usage_errors_exit_1(tmp_path, capsys, args, message):
     assert main(args) == 1
@@ -634,6 +639,17 @@ def test_gradcheck_command_passes(capsys):
     assert "passed" in out
     assert main(["gradcheck", "--set", "train.seed=x"]) == 1
     assert "[train] seed must be an integer, got 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["model.heads=3", "train.batch_size=0", "loss.lam=-1"])
+def test_gradcheck_checks_its_config_as_train_does(tmp_path, capsys, setting):
+    # the checked model is always tiny_gradcheck_config(), but a bad value
+    # is an error all the same, with train's message
+    assert main(["train", "--data", "/nonexistent", "--out", str(tmp_path / "o"),
+                 "--set", setting]) == 1
+    train_err = capsys.readouterr().err
+    assert main(["gradcheck", "--set", setting]) == 1
+    assert capsys.readouterr().err == train_err
 
 
 def test_gradcheck_fault_injection_names_offending_block(capsys, monkeypatch, scale_backward):

@@ -5,7 +5,7 @@ import pytest
 
 from frameattn import tensor as T
 from frameattn.cli import COMPONENT_CELLS
-from frameattn.errors import ConfigError
+from frameattn.errors import ConfigError, FrameAttnError
 from frameattn.losses import LossConfig, combined_loss
 from frameattn.model import (
     AttentionModel,
@@ -504,8 +504,14 @@ def test_train_step_graph_node_count():
 def test_backward_drops_intermediate_grads_and_keeps_leaf_buffers():
     m = AttentionModel(tiny_cfg(dropout=0.1), seed=0)
     loss, nodes = train_step_graph(m)
+    inner = [t for t in nodes if t._rule is not None]
     backward(loss)
-    assert all(t.grad is None for t in nodes if t._rule is not None)
+    # each intermediate lets go of its gradient, its own rule and its
+    # parents, so the graph is released as backward walks it
+    assert all(t.grad is None and t._rule is T._released and t._parents == () for t in inner)
+    assert all(p._rule is None for p in m.params.values())
+    with pytest.raises(FrameAttnError, match="already released"):
+        backward(loss)
     buffers = {name: p.grad for name, p in m.params.items()}
     first = {name: g.copy() for name, g in buffers.items()}
     assert all(np.abs(g).sum() > 0 for g in first.values())

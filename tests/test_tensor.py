@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frameattn import tensor as T
-from frameattn.errors import ConfigError, ShapeError
+from frameattn.errors import ConfigError, FrameAttnError, ShapeError
 from frameattn.model import AttentionModel, ModelConfig, tiny_gradcheck_config
 from frameattn.tensor import Tensor, backward, gradcheck
 
@@ -163,6 +163,20 @@ def test_backward_accumulates_over_reused_tensor():
     x2 = Tensor([1.0, 2.0], requires_grad=True)
     backward(T.tsum(2.0 * x2))
     np.testing.assert_array_equal(x1.grad, x2.grad)
+
+
+def test_second_backward_through_a_released_graph_raises():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    h = x * x
+    loss = T.tsum(h)
+    backward(loss)
+    with pytest.raises(FrameAttnError, match="already released") as info:
+        backward(loss)
+    assert info.value.exit_code == 1
+    # a new graph over a released node cannot walk through it either
+    with pytest.raises(FrameAttnError, match="already released"):
+        backward(T.tsum(h * 2.0))
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
 
 def test_gradcheck_linear_function_is_exact():
@@ -498,6 +512,43 @@ def test_conv_blocks_after_the_first_take_the_winograd_path(monkeypatch, cfg):
     frames = np.random.default_rng(0).normal(size=(2, cfg.window_len, cfg.channels))
     AttentionModel(cfg, seed=0).forward(frames, training=False)
     assert paths == ["_conv_im2col"] + ["_conv_winograd"] * (cfg.conv_blocks - 1)
+
+
+def test_scratch_views_share_one_workspace():
+    a, b = T._scratch((3, 4), (5,))
+    (c,) = T._scratch((2, 2))
+    assert np.shares_memory(a, c) and np.shares_memory(b, T._workspace)
+    assert not np.shares_memory(a, b)
+
+
+def _kept_arrays(rule) -> list:
+    """The arrays a rule closes over, through the rules it closes over."""
+    arrays = []
+    for cell in rule.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif callable(value) and getattr(value, "__closure__", None):
+            arrays += _kept_arrays(value)
+    return arrays
+
+
+@pytest.mark.parametrize("c_in, k", [(8, 5), (3, 5), (8, 3)],
+                         ids=["winograd", "im2col-channels", "im2col-taps"])
+def test_conv1d_relu_results_never_share_the_workspace(c_in, k):
+    # the output, what the rule keeps and the gradients outlive the call,
+    # while the workspace is overwritten by the next one
+    rng = np.random.default_rng(5)
+    x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+               for s in ((3, 10, c_in), (k, c_in, 8), (1, 1, 8)))
+    T._scratch((1 << 14,))  # big enough that the workspace stays put
+    out = T.conv1d_relu(x, w, b)
+    kept = _kept_arrays(out._rule)
+    assert len(kept) >= 2  # the output and the columns or the tiles V
+    x.grad = w.grad = None  # so each takes the rule's gradient array as is
+    backward(T.tsum(out))
+    for arr in (out.data, *kept, x.grad, w.grad):
+        assert not np.shares_memory(arr, T._workspace)
 
 
 def test_conv1d_relu_rejects_bad_shapes():
