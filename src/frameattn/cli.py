@@ -30,6 +30,7 @@ import configparser
 import csv
 import itertools
 import json
+import math
 import statistics
 import sys
 from dataclasses import MISSING, asdict, fields, replace
@@ -114,11 +115,20 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(value)
 
 
+def _parse_finite(value: str) -> float:
+    # float() also takes nan and inf; no config value means either, and
+    # every range check lets nan through
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(value)
+    return v
+
+
 # Parser and expectation per field annotation (a string: the config
 # dataclasses' modules postpone annotation evaluation).
 _PARSERS = {
     "int": (int, "an integer"),
-    "float": (float, "a number"),
+    "float": (_parse_finite, "a finite number"),
     "bool": (_parse_bool, "a boolean"),
     "str": (str, "a string"),
 }
@@ -333,16 +343,19 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0
 
 
-def _int_list(flag: str, text: str) -> list[int]:
-    """Comma-separated distinct integers: a repeated value would train one
-    grid point twice and count its score twice."""
+def _grid_list(flag: str, text: str, parse=str) -> list:
+    """At least one comma-separated value, each ``parse``d (only ``int``
+    can fail), and no two equal: a repeated value would train one grid point
+    twice and count its score twice."""
     try:
-        values = [int(v) for v in text.split(",") if v.strip()]
+        values = [parse(v.strip()) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"{flag} must be comma-separated integers, got '{text}'") from None
     repeated = sorted({v for v in values if values.count(v) > 1})
     if repeated:
         raise ConfigError(f"{flag} repeats {repeated} in '{text}'")
+    if not values:
+        raise ConfigError(f"{flag} must name at least one grid value")
     return values
 
 
@@ -407,17 +420,15 @@ def ablate(run: RunConfig, data_dir: str, cells: list[str], strategies: list[str
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     run = RunConfig.load(args.config, _overrides_from_args(args))
-    cells = [c.strip() for c in args.cells.split(",") if c.strip()]
+    cells = _grid_list("--cells", args.cells)
     for cell in cells:
         if cell not in COMPONENT_CELLS:
             raise ConfigError(
                 f"unknown ablation cell '{cell}' (expected one of {sorted(COMPONENT_CELLS)})"
             )
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    batch_sizes = _int_list("--batch-sizes", args.batch_sizes)
-    seeds = _int_list("--seeds", args.seeds)
-    if not (cells and strategies and batch_sizes and seeds):
-        raise ConfigError("ablation grid must have at least one cell/strategy/batch size/seed")
+    strategies = _grid_list("--strategies", args.strategies)
+    batch_sizes = _grid_list("--batch-sizes", args.batch_sizes, int)
+    seeds = _grid_list("--seeds", args.seeds, int)
     out = Path(args.out)
     rows = ablate(run, args.data, cells, strategies, batch_sizes, seeds, out)
 

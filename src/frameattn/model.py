@@ -313,7 +313,7 @@ class AttentionModel:
 
         feats = backbone_features(Tensor(frames), p, cfg)
         x_bar = feats.mean(axis=1)
-        x_bar = T.dropout(x_bar, drop, training, rng)
+        x_bar = T.dropout(x_bar, drop, rng)
 
         if cfg.enabled("pe"):
             x_pe = x_bar + Tensor(positional_encoding(cfg.d_model, np.arange(batch)))
@@ -338,7 +338,7 @@ class AttentionModel:
 
         x_att = fuse_features(x_bar, a_com, p)
         a_mul, head_weights = multi_head_attention(x_att, p, cfg)
-        a_mul = T.dropout(a_mul, drop, training, rng)
+        a_mul = T.dropout(a_mul, drop, rng)
 
         if cfg.enabled("gate"):
             gate = gate_values(x_att, p)
@@ -351,7 +351,7 @@ class AttentionModel:
             o_moe, moe_weights = moe_layer(o_gated, p)
         else:
             o_moe, moe_weights = o_gated, None
-        o_moe = T.dropout(o_moe, drop, training, rng)
+        o_moe = T.dropout(o_moe, drop, rng)
 
         logits = o_moe @ p["cls.w"] + p["cls.b"]
         return ForwardTrace(
@@ -388,14 +388,12 @@ GRADCHECK_BLOCKS = (
 )
 
 
-def tiny_gradcheck_config(
-    classes: int = 4, window_len: int = 16, channels: int = 3
-) -> ModelConfig:
+def tiny_gradcheck_config() -> ModelConfig:
     """Small model used by the gradient-check command and its tests."""
     return ModelConfig(
-        window_len=window_len,
-        channels=channels,
-        classes=classes,
+        window_len=16,
+        channels=3,
+        classes=4,
         d_model=8,
         heads=2,
         experts=2,
@@ -409,15 +407,15 @@ def parameter_gradcheck_report(
     cfg: ModelConfig,
     loss_cfg: LossConfig,
     seed: int = 0,
-    batch: int = 4,
-    eps: float = 1e-5,
 ) -> list[tuple[str, float]]:
     """Max relative error between analytic and central-difference gradients,
-    one row per stage plus the composed model and the loss head.
+    one row per stage plus the composed model and the loss head, on a batch
+    of 4 random frames.
 
     The analytic side is a single backward pass through forward+loss; the
-    numeric side perturbs every parameter entry by +-eps.
+    numeric side perturbs every parameter entry by +-``T.FD_EPS``.
     """
+    batch = 4
     rng = np.random.default_rng(mix64(seed, TAG_GRADCHECK))
     frames = rng.normal(size=(batch, cfg.window_len, cfg.channels))
     labels = rng.integers(0, cfg.classes, size=batch)
@@ -432,7 +430,7 @@ def parameter_gradcheck_report(
     worst: dict[str, float] = {name: 0.0 for name, _ in GRADCHECK_BLOCKS}
     composed = 0.0
     for name, p in model.params.items():
-        err = T.gradient_error(lambda: loss_value().item(), p.data, p.grad, eps)
+        err = T.gradient_error(lambda: loss_value().item(), p.data, p.grad)
         composed = max(composed, err)
         for block, prefix in GRADCHECK_BLOCKS:
             if name.startswith(prefix):
@@ -443,7 +441,7 @@ def parameter_gradcheck_report(
 
     # The loss head checked in isolation, against its own input logits.
     logits0 = Tensor(rng.normal(size=(batch, cfg.classes)))
-    loss_err = T.gradcheck(lambda t: combined_loss(t, labels, loss_cfg), logits0, eps=eps)
+    loss_err = T.gradcheck(lambda t: combined_loss(t, labels, loss_cfg), logits0)
     rows.append(("loss", loss_err))
     rows.append(("composed-model", composed))
     return rows

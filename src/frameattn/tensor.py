@@ -15,7 +15,9 @@ arrived by then; leaves keep theirs.  ``backward`` releases the graph it
 walks: a node drops its rule and parents once the rule has run, freeing the
 arrays the rule kept, so a second ``backward`` through it raises.
 
-Besides elementwise, reduction and shape ops there are fused nodes with
+The module holds only the ops a training step runs.  The plain ones are
+``add``, ``mul``, ``matmul``, ``tsum`` (and ``tmean``, a sum times 1/n),
+``sigmoid``, ``concat`` and ``dropout``; the rest are fused nodes with
 hand-written backward rules, one per stage of the classifier:
 ``conv1d_relu`` (a conv block: convolution along time, bias and ReLU),
 ``attention_pool`` (additive attention pooling over time), ``attention``
@@ -28,7 +30,10 @@ values and gradients are bit-identical to that graph's.  The exception is
 ``conv1d_relu``: its dW and dx are one matmul each, and its Winograd path
 (see there) computes values too from transformed tiles, so both agree with
 the per-tap graph to within 1e-12 of their largest magnitude (measured:
-5e-15 for values and all three gradients).
+5e-15 for values and all three gradients).  The ops those composed graphs
+need besides the ones here (``transpose``, ``reshape``, ``getitem``,
+``tanh``, ``relu`` and ``softmax``) live with the tests, in
+``tests/reference_ops.py``.
 
 Broadcasting follows numpy; the backward side sums gradients over broadcast
 dimensions.  Everything is float64: at the sizes this package targets the
@@ -110,12 +115,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -123,20 +122,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
-    # shape ops
-
-    def reshape(self, *shape: int):
-        return reshape(self, shape)
-
-    def transpose(self, axes: Sequence[int] | None = None):
-        return transpose(self, axes)
-
-    def sum(self, axis: int | None = None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis: int | None = None, keepdims: bool = False):
         return tmean(self, axis=axis, keepdims=keepdims)
@@ -195,22 +180,6 @@ def add(a, b) -> Tensor:
     return _node(data, (a, b), rule)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError as e:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}") from e
-
-    def rule(g):
-        if a.requires_grad:
-            _acc(a, g)
-        if b.requires_grad:
-            _acc(b, -g)
-
-    return _node(data, (a, b), rule)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     try:
@@ -247,47 +216,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), rule)
 
 
-def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    """Permute axes, as numpy.transpose: output axis i is input axis
-    ``axes[i]``; None reverses the axes."""
-    a = _as_tensor(a)
-    try:
-        data = np.transpose(a.data, axes)
-    except ValueError as e:
-        raise ShapeError(f"transpose: axes {axes} do not fit shape {a.shape}") from e
-    inverse = None if axes is None else np.argsort(axes)
-
-    def rule(g):
-        _acc(a, np.transpose(g, inverse))
-
-    return _node(data.copy(), (a,), rule)
-
-
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    a = _as_tensor(a)
-    try:
-        data = a.data.reshape(tuple(shape))
-    except ValueError as e:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {tuple(shape)}") from e
-
-    def rule(g):
-        _acc(a, g.reshape(a.data.shape))
-
-    return _node(data, (a,), rule)
-
-
-def getitem(a: Tensor, key) -> Tensor:
-    """Basic indexing only (ints and slices); backward scatters into zeros."""
-    a = _as_tensor(a)
-
-    def rule(g):
-        full = np.zeros_like(a.data)
-        full[key] += g
-        _acc(a, full)
-
-    return _node(a.data[key], (a,), rule)
-
-
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
 
@@ -303,16 +231,6 @@ def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     n = a.data.size if axis is None else a.data.shape[axis]
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
-
-
-def tanh(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    y = np.tanh(a.data)
-
-    def rule(g):
-        _acc(a, (1.0 - y * y) * g)
-
-    return _node(y, (a,), rule)
 
 
 def _sigmoid_stable(z: Array) -> Array:
@@ -379,31 +297,10 @@ def mix(a, x, y) -> Tensor:
     return _node(data, (a, x, y), rule)
 
 
-def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-
-    def rule(g):
-        _acc(a, (a.data > 0.0) * g)
-
-    return _node(np.maximum(a.data, 0.0), (a,), rule)
-
-
 def _softmax(z: Array, axis: int) -> Array:
     """Exponentials normalized along ``axis``, max-subtracted for stability."""
     e = np.exp(z - z.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def softmax(a: Tensor, axis: int) -> Tensor:
-    a = _as_tensor(a)
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"softmax: axis {axis} out of range for shape {a.shape}")
-    y = _softmax(a.data, axis)
-
-    def rule(g):
-        _acc(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
-
-    return _node(y, (a,), rule)
 
 
 def attention(qkv: Tensor, heads: int) -> tuple[Tensor, Array]:
@@ -797,15 +694,16 @@ def conv1d_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(out, (x, w, b), rule)
 
 
-def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:
-    """Zero entries with probability ``rate`` and rescale survivors by 1/(1-rate)."""
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Zero entries with probability ``rate`` and rescale survivors by
+    1/(1-rate); rate 0, as outside training, is the identity."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     a = _as_tensor(a)
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return a
     if rng is None:
-        raise ConfigError("dropout in training mode requires an explicit rng")
+        raise ConfigError("dropout at a rate above 0 requires an explicit rng")
     keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
 
     def rule(g):
@@ -854,7 +752,11 @@ def backward(loss: Tensor) -> None:
             node.grad, node._rule, node._parents = None, _released, ()
 
 
-def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
+# Step of the central differences in ``gradient_error``.
+FD_EPS = 1e-5
+
+
+def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
     """Compare reverse-mode gradients of scalar-valued ``f`` at ``x`` against
     central differences; returns their ``gradient_error``.
 
@@ -865,23 +767,23 @@ def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> fl
     if out.data.size != 1:
         raise ShapeError(f"gradcheck: f must be scalar-valued, got shape {out.shape}")
     backward(out)
-    return gradient_error(lambda: f(probe).item(), probe.data, probe.grad, eps)
+    return gradient_error(lambda: f(probe).item(), probe.data, probe.grad)
 
 
-def gradient_error(f: Callable[[], float], data: Array, analytic: Array, eps: float) -> float:
+def gradient_error(f: Callable[[], float], data: Array, analytic: Array) -> float:
     """Max over entries of |analytic - numeric| / max(1, |analytic|, |numeric|),
     ``numeric`` being the central difference of ``f()`` in each entry of
-    ``data``: the entry is moved by +-eps in place, with graph recording off,
-    then restored."""
+    ``data``: the entry is moved by +-FD_EPS in place, with graph recording
+    off, then restored."""
     numeric = np.zeros_like(analytic)
     with no_grad():
         for i in np.ndindex(data.shape):
             orig = data[i]
-            data[i] = orig + eps
+            data[i] = orig + FD_EPS
             plus = f()
-            data[i] = orig - eps
+            data[i] = orig - FD_EPS
             minus = f()
             data[i] = orig
-            numeric[i] = (plus - minus) / (2.0 * eps)
+            numeric[i] = (plus - minus) / (2.0 * FD_EPS)
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float((np.abs(analytic - numeric) / denom).max())

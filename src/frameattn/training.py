@@ -69,8 +69,10 @@ class AdamW:
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * theta,
     decay applied only to parameters in ``decay_keys`` (matrices, not biases
-    or the blend logit).
+    or the blend logit).  The moment decays and eps are Adam's defaults.
     """
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(
         self,
@@ -78,15 +80,11 @@ class AdamW:
         decay_keys: set[str],
         lr: float = 1e-3,
         weight_decay: float = 0.0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
     ):
         self.params = params
         self.decay_keys = decay_keys
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -119,12 +117,13 @@ class PlateauScheduler:
     """Halve (by ``factor``) the lr after ``patience`` epochs without a loss
     improvement of at least ``min_delta``; never below ``min_lr``."""
 
-    def __init__(self, lr: float, patience: int, factor: float, min_lr: float, min_delta: float = 1e-6):
+    min_delta = 1e-6
+
+    def __init__(self, lr: float, patience: int, factor: float, min_lr: float):
         self.lr = lr
         self.patience = patience
         self.factor = factor
         self.min_lr = min_lr
-        self.min_delta = min_delta
         self.best = float("inf")
         self.counter = 0
 

@@ -1,10 +1,19 @@
+import argparse
 import csv
 import json
-from dataclasses import replace
+import math
+import os
+import subprocess
+import sys
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import frameattn
 from frameattn import cli, errors
 from frameattn.cli import (
     COMPONENT_CELLS,
@@ -320,7 +329,8 @@ def test_every_command_checks_config_and_set_exit_1(tmp_path, monkeypatch, capsy
         ("", ["--set", "synthetic.width=2"], "unknown key 'width' in section [synthetic]"),
         ("", ["--set", "synthetic.sessions=many"],
          "[synthetic] sessions must be an integer, got 'many'"),
-        ("", ["--set", "synthetic.noise=loud"], "[synthetic] noise must be a number, got 'loud'"),
+        ("", ["--set", "synthetic.noise=loud"],
+         "[synthetic] noise must be a finite number, got 'loud'"),
         ("", ["--set", "synthetic.context=maybe"],
          "[synthetic] context must be a boolean, got 'maybe'"),
         ("", ["--set", "sessions=2"], "--set expects section.key=value, got 'sessions=2'"),
@@ -361,6 +371,23 @@ def test_config_errors_exit_1_naming_section_and_key(tmp_path, capsys, config, e
         ("datagen", "data.window=1", "window must be >= 2, got 1"),
         ("datagen", "synthetic.session_len=10", "session_len (10) too short for window 24"),
         ("datagen", "synthetic.noise=-1", "noise must be >= 0, got -1.0"),
+        # non-finite floats; the first was a ValueError traceback
+        ("datagen", "synthetic.mean_dwell_windows=nan",
+         "[synthetic] mean_dwell_windows must be a finite number, got 'nan'"),
+        ("datagen", "synthetic.mean_dwell_windows=inf",
+         "[synthetic] mean_dwell_windows must be a finite number, got 'inf'"),
+        # these two exited 0 with NaN sessions and an ignored value
+        ("datagen", "synthetic.noise=nan", "[synthetic] noise must be a finite number, got 'nan'"),
+        ("train", "train.clip_norm=nan", "[train] clip_norm must be a finite number, got 'nan'"),
+        ("train", "train.min_lr=nan", "[train] min_lr must be a finite number, got 'nan'"),
+        # these three were NumericError, exit 3
+        ("train", "train.lr=nan", "[train] lr must be a finite number, got 'nan'"),
+        ("train", "train.weight_decay=inf",
+         "[train] weight_decay must be a finite number, got 'inf'"),
+        ("train", "loss.beta=nan", "[loss] beta must be a finite number, got 'nan'"),
+        ("train", "model.dropout=-inf", "[model] dropout must be a finite number, got '-inf'"),
+        ("train", "train.lr=1e400", "[train] lr must be a finite number, got '1e400'"),
+        ("ablate", "loss.gamma=NaN", "[loss] gamma must be a finite number, got 'NaN'"),
     ],
 )
 def test_bad_config_value_exit_1_with_its_message(
@@ -373,6 +400,69 @@ def test_bad_config_value_exit_1_with_its_message(
     assert main(args) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# what a config file line or a --set value may hold: a key's default, a
+# non-finite float spelling, another spelling, or any text
+_CONFIG_KEYS = [(section, key) for section, keys in DEFAULTS.items() for key in keys]
+_NON_FINITE = ["nan", "NaN", "-nan", "inf", "-inf", "+Infinity", "1e400"]
+_SPELLINGS = ["", "0", "-1", "1", "3", "0.5", "1e-3", "true", "off", "x", "1_000", "0x10",
+              "9" * 40, "shuffled", "intra,moe", "pe,,gate", "bogus"]
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
+
+
+def _value(section: str, key: str):
+    default = st.just(DEFAULTS.get(section, {}).get(key, ""))
+    return st.one_of(default, default, st.sampled_from(_NON_FINITE), st.sampled_from(_SPELLINGS),
+                     _TEXT)
+
+
+def _entry():
+    """A (section, key) pair, mostly a known one."""
+    known = st.sampled_from(_CONFIG_KEYS)
+    return st.one_of(known, known, known, st.tuples(_TEXT, _TEXT))
+
+
+@st.composite
+def _ini_text(draw) -> str:
+    by_section: dict[str, list[str]] = {}
+    for _ in range(draw(st.integers(0, 3))):
+        section, key = draw(_entry())
+        sep = draw(st.sampled_from(["=", ":", " = "]))
+        by_section.setdefault(section, []).append(f"{key}{sep}{draw(_value(section, key))}")
+    return "\n".join(f"[{s}]\n" + "\n".join(lines) for s, lines in by_section.items())
+
+
+@st.composite
+def _set_items(draw) -> list[str]:
+    items = []
+    for _ in range(draw(st.integers(0, 3))):
+        section, key = draw(_entry())
+        items.append(f"{section}.{key}={draw(_value(section, key))}")
+    no_raw_item = st.just([])
+    return items + draw(st.one_of(no_raw_item, no_raw_item, no_raw_item,
+                                  st.lists(_TEXT, min_size=1, max_size=1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(_ini_text(), _ini_text(), _ini_text(), _TEXT), set_items=_set_items())
+def test_config_file_and_set_fuzz_load_or_config_error(tmp_path_factory, text, set_items):
+    # any config file text and --set items: every config a command builds
+    # either loads, with finite floats, or raises a FrameAttnError
+    path = tmp_path_factory.getbasetemp() / "fuzz.ini"
+    path.write_text(text, encoding="utf-8")
+    try:
+        run = RunConfig.load(path, cli._overrides_from_args(argparse.Namespace(set=set_items)))
+        train_cfg = run.train_config()
+        configs = [train_cfg, train_cfg.loss, run.model_config(), run.split_args()["spec"],
+                   run.build(SynthConfig, "synthetic", window=run.value("data", "window", "int"))]
+    except errors.FrameAttnError:
+        return
+    for cfg in configs:
+        for f in fields(cfg):
+            value = getattr(cfg, f.name)
+            if isinstance(value, float):
+                assert math.isfinite(value), (type(cfg).__name__, f.name)
 
 
 def test_train_on_one_class_data_exit_1(tmp_path, tiny_config, capsys):
@@ -427,6 +517,17 @@ def test_help_exits_0_and_lists_no_config_key_flag(capsys, command):
     keys = {key for values in DEFAULTS.values() for key in values}
     assert "set" in flags
     assert not flags & keys
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], 0), (["train"], 1)])
+def test_python_dash_m_frameattn_runs_the_command(args, code):
+    # the package runs as ``python -m frameattn``, passing on main's exit code
+    src = str(Path(frameattn.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "frameattn", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert "usage: frameattn" in done.stdout + done.stderr
 
 
 def test_each_error_class_exits_with_its_code(monkeypatch, capsys):
@@ -776,6 +877,12 @@ def test_ablate_config_error_exit_1_without_csv(tmp_path, tiny_config, dataset, 
         ("--batch-sizes", "-8", "batch_size must be >= 1, got -8"),
         ("--cells", "full,everything", "unknown ablation cell 'everything'"),
         ("--strategies", "time-sequential", "got 'time-sequential'"),
+        ("--cells", "full,full", "--cells repeats ['full'] in 'full,full'"),
+        ("--cells", "full, inter,full", "--cells repeats ['full'] in 'full, inter,full'"),
+        ("--strategies", "time_sequential,time_sequential",
+         "--strategies repeats ['time_sequential'] in 'time_sequential,time_sequential'"),
+        ("--seeds", " , ", "--seeds must name at least one grid value"),
+        ("--cells", "", "--cells must name at least one grid value"),
     ],
 )
 def test_ablate_bad_grid_exit_1_before_reading_data(tmp_path, capsys, flag, value, message):
