@@ -256,11 +256,21 @@ def _read_normalizer(path: Path) -> NormStats:
     return NormStats(mean=mean, std=std)
 
 
+def _out_dir(path: str | Path) -> Path:
+    """An output directory as a Path, checked before any data is read: it
+    is made later, which fails if it or a parent is not a directory."""
+    out = Path(path)
+    for p in (out, *out.parents):
+        if p.exists() and not p.is_dir():
+            raise ConfigError(f"cannot write to {out}: {p} exists and is not a directory")
+    return out
+
+
 def cmd_datagen(args: argparse.Namespace) -> int:
     run = RunConfig.load(args.config, _overrides_from_args(args))
     cfg = run.build(SynthConfig, "synthetic", window=run.value("data", "window", "int"))
+    out = _out_dir(args.out)
     recordings = generate_synthetic(cfg)
-    out = Path(args.out)
     sessions = [r.session_id for r in recordings]
     write_sessions(recordings, out, {"seed": cfg.seed, "config": asdict(cfg), "sessions": sessions})
     run.write_resolved(out)
@@ -284,8 +294,9 @@ def _train_run(run: RunConfig, train_cfg: TrainConfig, model_cfg: ModelConfig,
 def cmd_train(args: argparse.Namespace) -> int:
     run = RunConfig.load(args.config, _overrides_from_args(args))
     train_cfg, model_cfg, split_args = run.train_config(), run.model_config(), run.split_args()
+    out = _out_dir(args.out)
     splits = prepare_splits(load_recordings(args.data), **split_args)
-    result = _train_run(run, train_cfg, model_cfg, splits, Path(args.out), args.dump_plan)
+    result = _train_run(run, train_cfg, model_cfg, splits, out, args.dump_plan)
     print(
         f"best epoch {result.best_epoch} (val mean F1 {result.best_val_f1:.4f}); "
         f"test mean F1 {result.test_report.mean_f1:.4f}"
@@ -298,6 +309,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = ckpt_path.parent
     run = RunConfig.load(args.config or run_dir / "run_config.ini", _overrides_from_args(args))
     train_cfg, model_cfg, split_args = run.train_config(), run.model_config(), run.split_args()
+    out = _out_dir(args.out) if args.out else None
     stats = _read_normalizer(run_dir / "normalizer.json")
     splits = prepare_splits(load_recordings(args.data), **split_args, stats=stats)
 
@@ -314,8 +326,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"{c:5d} {report.tp[c]:3d} {report.fp[c]:3d} {report.fn[c]:3d} "
             f"{report.per_class_f1[c]:.4f}"
         )
-    if args.out:
-        out = Path(args.out)
+    if out:
         out.mkdir(parents=True, exist_ok=True)
         record = {
             "split": args.split,
@@ -365,8 +376,9 @@ def ablate(run: RunConfig, data_dir: str, cells: list[str], strategies: list[str
 
     A point merges its strategy, batch size and seed, then its cell's
     [model] and [loss] overrides, over ``run``.  The data is read once, after
-    every point's configs are built for every seed.  Each seed's run
-    directory is ``out/<cell>_<strategy>_b<batch size>_s<seed>``.  A seed whose
+    every point's configs are built and run directories checked for every
+    seed.  Each seed's run directory is
+    ``out/<cell>_<strategy>_b<batch size>_s<seed>``.  A seed whose
     training diverges ends its point, whose row then says why; any other
     error is not the seed's and ends the grid.
     """
@@ -380,16 +392,16 @@ def ablate(run: RunConfig, data_dir: str, cells: list[str], strategies: list[str
             _merge(sections, grid, "the ablation grid")
             _merge(sections, COMPONENT_CELLS[cell], f"ablation cell '{cell}'")
             seed_run = RunConfig(sections)
-            runs.append((seed_run, seed_run.train_config(), seed_run.model_config()))
+            cell_out = _out_dir(out / f"{cell}_{strategy}_b{bs}_s{seed}")
+            runs.append((seed_run, seed_run.train_config(), seed_run.model_config(), cell_out))
         points.append((cell, strategy, bs, runs))
     splits = prepare_splits(load_recordings(data_dir), **split_args)
 
     rows = []
     for cell, strategy, bs, runs in points:
         scores, status, message = [], "ok", ""
-        for seed_run, train_cfg, model_cfg in runs:
+        for seed_run, train_cfg, model_cfg, cell_out in runs:
             seed = train_cfg.seed
-            cell_out = out / f"{cell}_{strategy}_b{bs}_s{seed}"
             try:
                 result = _train_run(seed_run, train_cfg, model_cfg, splits, cell_out)
                 scores.append(result.test_report.mean_f1)
@@ -429,7 +441,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     strategies = _grid_list("--strategies", args.strategies)
     batch_sizes = _grid_list("--batch-sizes", args.batch_sizes, int)
     seeds = _grid_list("--seeds", args.seeds, int)
-    out = Path(args.out)
+    out = _out_dir(args.out)
     rows = ablate(run, args.data, cells, strategies, batch_sizes, seeds, out)
 
     out.mkdir(parents=True, exist_ok=True)

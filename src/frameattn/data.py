@@ -112,6 +112,8 @@ def load_recordings(path: str | Path) -> list[Recording]:
             recordings.append(_load_session(f))
         except UnicodeDecodeError as e:
             raise DataError(f"{f}: not UTF-8 text ({e.reason})") from None
+        except OSError as e:
+            raise DataError(f"{f}: cannot read session file ({e.strerror or e})") from None
     width = recordings[0].samples.shape[1]
     for f, rec in zip(files, recordings):
         if rec.samples.shape[1] != width:
@@ -361,6 +363,13 @@ class SynthConfig:
         if self.session_len < 4 * self.window:
             raise ConfigError(
                 f"session_len ({self.session_len}) too short for window {self.window}"
+            )
+        # a dwell longer than the session leaves no chain, and the bound keeps
+        # the dwell draw finite
+        if self.mean_dwell_windows * self.window > self.session_len:
+            raise ConfigError(
+                f"mean dwell of {self.mean_dwell_windows} windows of {self.window} samples "
+                f"exceeds session_len {self.session_len}"
             )
         if self.noise < 0:
             raise ConfigError(f"noise must be >= 0, got {self.noise}")

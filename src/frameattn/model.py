@@ -25,9 +25,9 @@ plus the plain matmuls and adds around it:
     within-frame pooling   ``T.attention_pool`` (tanh scores, softmax over T,
                            weighted sum)
     across-frame attention ``T.attention`` on ``x @ inter.wqkv``, one head
-    blend                  ``T.sigmoid`` of ``blend.alpha``, then ``T.mix``
+    blend                  ``T.sigmoid_mix`` on ``blend.alpha``
     multi-head attention   ``T.attention`` on ``x @ mh.wqkv``, then ``@ mh.wo``
-    gate                   ``T.linear_sigmoid``, then ``T.mix`` to apply it
+    gate                   ``x @ gate.wg + gate.bg``, then ``T.sigmoid_mix``
     mixture of experts     ``T.mixture_of_experts``
     loss                   ``T.focal_cross_entropy`` (in ``losses``)
 
@@ -110,7 +110,8 @@ class ForwardTrace:
 
     Attention weight fields hold the softmax outputs as plain arrays (rows
     sum to 1): ``intra_weights`` is (B, T), ``inter_weights`` (B, B),
-    ``head_weights`` (heads, B, B) and ``moe_weights`` (B, E).  Disabled
+    ``head_weights`` (heads, B, B) and ``moe_weights`` (B, E).  ``gate`` is
+    the (B, d) sigmoid of the gate logits, also a plain array.  Disabled
     stages leave their fields as None.
     """
 
@@ -124,7 +125,7 @@ class ForwardTrace:
     x_att: Tensor
     a_mul: Tensor
     head_weights: np.ndarray
-    gate: Tensor | None
+    gate: np.ndarray | None
     o_gated: Tensor
     o_moe: Tensor
     moe_weights: np.ndarray | None
@@ -174,7 +175,7 @@ def inter_attention(x: Tensor, params: dict) -> tuple[Tensor, np.ndarray]:
 
 def combine_attention(a_inter: Tensor, a_intra: Tensor, alpha: Tensor) -> Tensor:
     """Convex blend a*inter + (1-a)*intra with a = sigmoid(alpha)."""
-    return T.mix(T.sigmoid(alpha), a_inter, a_intra)
+    return T.sigmoid_mix(alpha, a_inter, a_intra)[0]
 
 
 def fuse_features(x_bar: Tensor, a_com: Tensor, params: dict) -> Tensor:
@@ -193,11 +194,14 @@ def multi_head_attention(
 
 
 def gate_values(x_att: Tensor, params: dict) -> Tensor:
-    return T.linear_sigmoid(x_att, params["gate.wg"], params["gate.bg"])
+    """The (B, d) gate logits, an affine map of the fused features."""
+    return x_att @ params["gate.wg"] + params["gate.bg"]
 
 
-def apply_gate(gate: Tensor, a_mul: Tensor, x_enhanced: Tensor) -> Tensor:
-    return T.mix(gate, a_mul, x_enhanced)
+def apply_gate(gate: Tensor, a_mul: Tensor, x_enhanced: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Blend s*a_mul + (1-s)*x_enhanced with s = sigmoid of the ``gate``
+    logits; returns the blend and the (B, d) s."""
+    return T.sigmoid_mix(gate, a_mul, x_enhanced)
 
 
 def moe_layer(x: Tensor, params: dict) -> tuple[Tensor, np.ndarray]:
@@ -341,8 +345,7 @@ class AttentionModel:
         a_mul = T.dropout(a_mul, drop, rng)
 
         if cfg.enabled("gate"):
-            gate = gate_values(x_att, p)
-            o_gated = apply_gate(gate, a_mul, x_pe)
+            o_gated, gate = apply_gate(gate_values(x_att, p), a_mul, x_pe)
         else:
             gate = None
             o_gated = a_mul

@@ -17,12 +17,12 @@ arrays the rule kept, so a second ``backward`` through it raises.
 
 The module holds only the ops a training step runs.  The plain ones are
 ``add``, ``mul``, ``matmul``, ``tsum`` (and ``tmean``, a sum times 1/n),
-``sigmoid``, ``concat`` and ``dropout``; the rest are fused nodes with
-hand-written backward rules, one per stage of the classifier:
-``conv1d_relu`` (a conv block: convolution along time, bias and ReLU),
-``attention_pool`` (additive attention pooling over time), ``attention``
-(all heads of scaled dot-product attention), ``mix`` (the convex blend
-a * x + (1 - a) * y), ``linear_sigmoid`` (an affine map and a sigmoid),
+``concat`` and ``dropout``; the rest are fused nodes with hand-written
+backward rules, one per stage of the classifier: ``conv1d_relu`` (a conv
+block: convolution along time, bias and ReLU), ``attention_pool`` (additive
+attention pooling over time), ``attention`` (all heads of scaled dot-product
+attention), ``sigmoid_mix`` (the convex blend s * x + (1 - s) * y with
+s = sigmoid(z), for the summary blend and the output gate),
 ``mixture_of_experts`` (softmax-gated two-layer experts) and
 ``focal_cross_entropy`` (the training loss).  Each computes its forward with
 the numpy ops of the composed graph it replaces, in the same order, so
@@ -32,7 +32,7 @@ values and gradients are bit-identical to that graph's.  The exception is
 the per-tap graph to within 1e-12 of their largest magnitude (measured:
 5e-15 for values and all three gradients).  The ops those composed graphs
 need besides the ones here (``transpose``, ``reshape``, ``getitem``,
-``tanh``, ``relu`` and ``softmax``) live with the tests, in
+``tanh``, ``relu``, ``sigmoid`` and ``softmax``) live with the tests, in
 ``tests/reference_ops.py``.
 
 Broadcasting follows numpy; the backward side sums gradients over broadcast
@@ -242,59 +242,30 @@ def _sigmoid_stable(z: Array) -> Array:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    y = _sigmoid_stable(a.data)
-
-    def rule(g):
-        _acc(a, y * (1.0 - y) * g)
-
-    return _node(y, (a,), rule)
-
-
-def linear_sigmoid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """sigmoid(x @ w + b) for x (B, d), w (d, n) and b (1, n), as one node."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
-        raise ShapeError(
-            f"linear_sigmoid: need x (B, d), w (d, n) and b (1, n), "
-            f"got {x.shape}, {w.shape} and {b.shape}"
-        )
-    z = x.data @ w.data
-    z += b.data
-    y = _sigmoid_stable(z)
-
-    def rule(g):
-        g = y * (1.0 - y) * g
-        if b.requires_grad:
-            _acc(b, g)
-        if x.requires_grad:
-            _acc(x, g @ np.swapaxes(w.data, -1, -2))
-        if w.requires_grad:
-            _acc(w, np.swapaxes(x.data, -1, -2) @ g)
-
-    return _node(y, (x, w, b), rule)
-
-
-def mix(a, x, y) -> Tensor:
-    """a * x + (1 - a) * y, broadcasting as numpy: a convex blend of x and y
-    for a in [0, 1]."""
-    a, x, y = _as_tensor(a), _as_tensor(x), _as_tensor(y)
+def sigmoid_mix(z, x, y) -> tuple[Tensor, Array]:
+    """s * x + (1 - s) * y with s = sigmoid(z), broadcasting as numpy: a
+    convex blend of x and y weighted by the logit z.  One node, returning
+    the blend and, as a plain array, s."""
+    z, x, y = _as_tensor(z), _as_tensor(x), _as_tensor(y)
+    s = _sigmoid_stable(z.data)
     try:
-        data = a.data * x.data + (1.0 - a.data) * y.data
+        data = s * x.data + (1.0 - s) * y.data
     except ValueError as e:
-        raise ShapeError(f"mix: incompatible shapes {a.shape}, {x.shape} and {y.shape}") from e
+        raise ShapeError(
+            f"sigmoid_mix: incompatible shapes {z.shape}, {x.shape} and {y.shape}"
+        ) from e
 
     def rule(g):
-        if a.requires_grad:
+        if z.requires_grad:
             # each term reduced on its own, as the two-product graph does
-            _acc(a, _unbroadcast(x.data * g, a.shape) - _unbroadcast(y.data * g, a.shape))
+            g_s = _unbroadcast(x.data * g, s.shape) - _unbroadcast(y.data * g, s.shape)
+            _acc(z, s * (1.0 - s) * g_s)
         if x.requires_grad:
-            _acc(x, a.data * g)
+            _acc(x, s * g)
         if y.requires_grad:
-            _acc(y, (1.0 - a.data) * g)
+            _acc(y, (1.0 - s) * g)
 
-    return _node(data, (a, x, y), rule)
+    return _node(data, (z, x, y), rule), s
 
 
 def _softmax(z: Array, axis: int) -> Array:
@@ -525,7 +496,8 @@ def _conv_im2col(x: Tensor, w: Tensor, bias: Array) -> tuple[Array, Callable[[Ar
     np.maximum(out, 0.0, out=out)
 
     def rule(g):
-        # dW and dx take the operand orders measured fastest at d_model 128
+        # operand orders measured fastest for dW and dx on a 128 -> 128 block
+        # (B 128, T 24), before Winograd took every block but the first
         if w.requires_grad:
             g2 = g.reshape(batch * steps, c_out)
             _acc(w, (g2.T @ cols).T.reshape(w.data.shape))

@@ -69,6 +69,16 @@ def tanh(a: Tensor) -> Tensor:
     return T._node(y, (a,), rule)
 
 
+def sigmoid(a: Tensor) -> Tensor:
+    a = T._as_tensor(a)
+    y = T._sigmoid_stable(a.data)
+
+    def rule(g):
+        T._acc(a, y * (1.0 - y) * g)
+
+    return T._node(y, (a,), rule)
+
+
 def relu(a: Tensor) -> Tensor:
     a = T._as_tensor(a)
 

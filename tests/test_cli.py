@@ -179,6 +179,38 @@ def test_train_config_error_exit_1_before_reading_data(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["datagen", "train", "eval", "ablate"])
+@pytest.mark.parametrize("nested", [False, True])
+def test_out_that_is_a_file_exit_1_before_reading_data(tmp_path, capsys, command, nested):
+    # mkdir fails on a file at --out or above it; a missing data directory
+    # would exit 2, so exit 1 shows --out is checked first
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "run" if nested else blocker
+    args = [command, "--out", str(out)]
+    if command != "datagen":
+        args += ["--data", "/nonexistent"]
+    if command == "eval":
+        args += ["--checkpoint", write_run_dir(tmp_path / "run", '{"mean": [0], "std": [1]}')]
+    assert main(args) == 1
+    assert f"cannot write to {out}: {blocker} exists and is not a directory" in (
+        capsys.readouterr().err
+    )
+    assert blocker.read_text() == ""
+
+
+def test_ablate_run_directory_that_is_a_file_exit_1_before_reading_data(tmp_path, capsys):
+    out = tmp_path / "abl"
+    out.mkdir()
+    blocker = out / "full_time_sequential_b16_s1"
+    blocker.write_text("")
+    args = ["ablate", "--data", "/nonexistent", "--out", str(out), "--cells", "full",
+            "--batch-sizes", "16", "--seeds", "0,1"]
+    assert main(args) == 1
+    assert f"cannot write to {blocker}: {blocker} exists" in capsys.readouterr().err
+    assert sorted(out.iterdir()) == [blocker]
+
+
 def test_train_disable_flags_build_baseline(tmp_path, tiny_config, dataset):
     run_dir = tmp_path / "run"
     code = main([
@@ -376,6 +408,9 @@ def test_config_errors_exit_1_naming_section_and_key(tmp_path, capsys, config, e
          "[synthetic] mean_dwell_windows must be a finite number, got 'nan'"),
         ("datagen", "synthetic.mean_dwell_windows=inf",
          "[synthetic] mean_dwell_windows must be a finite number, got 'inf'"),
+        # finite, but a mean dwell longer than a session
+        ("datagen", "synthetic.mean_dwell_windows=1e308",
+         "mean dwell of 1e+308 windows of 24 samples exceeds session_len 6656"),
         # these two exited 0 with NaN sessions and an ignored value
         ("datagen", "synthetic.noise=nan", "[synthetic] noise must be a finite number, got 'nan'"),
         ("train", "train.clip_norm=nan", "[train] clip_norm must be a finite number, got 'nan'"),

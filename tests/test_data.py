@@ -134,6 +134,13 @@ def test_load_rejects_non_utf8_session_naming_file(tmp_path, where):
         load_recordings(tmp_path)
 
 
+def test_load_rejects_unreadable_session_naming_it(tmp_path):
+    (tmp_path / "s0.csv").write_text("t,ch1,label\n0,1.0,0\n")
+    (tmp_path / "s1.csv").mkdir()
+    with pytest.raises(DataError, match=r"s1\.csv: cannot read session file"):
+        load_recordings(tmp_path)
+
+
 def test_load_missing_directory():
     with pytest.raises(DataError):
         load_recordings("/nonexistent/dir")
@@ -376,6 +383,15 @@ def test_synthetic_rejects_single_class():
 def test_synthetic_rejects_short_dwell():
     with pytest.raises(ConfigError):
         SynthConfig(mean_dwell_windows=2.0)
+
+
+@pytest.mark.parametrize("dwell", [1e308, float(np.nextafter(416.0, np.inf))])
+def test_synthetic_rejects_dwell_longer_than_session(dwell):
+    # 416 windows of 16 samples fill the 6656-sample session exactly; at
+    # 1e308 windows the dwell draw overflows
+    SynthConfig(mean_dwell_windows=416.0)
+    with pytest.raises(ConfigError, match="windows of 16 samples exceeds session_len 6656"):
+        SynthConfig(mean_dwell_windows=dwell)
 
 
 def test_synthetic_pair_elements_follow_context_parity():

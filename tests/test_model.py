@@ -293,11 +293,12 @@ def test_gate_zero_weights_give_half_half(model):
         "gate.wg": Tensor(np.zeros((8, 8))),
         "gate.bg": Tensor(np.zeros((1, 8))),
     }
-    g = gate_values(x_att, params)
-    np.testing.assert_array_equal(g.data, 0.5)
+    logits = gate_values(x_att, params)
+    np.testing.assert_array_equal(logits.data, 0.0)
     a = Tensor(rng.normal(size=(3, 8)))
     b = Tensor(rng.normal(size=(3, 8)))
-    fused = apply_gate(g, a, b)
+    fused, gate = apply_gate(logits, a, b)
+    np.testing.assert_array_equal(gate, 0.5)
     np.testing.assert_allclose(fused.data, (a.data + b.data) / 2.0, atol=1e-15)
 
 
@@ -308,10 +309,10 @@ def test_gate_saturated_bias_passes_enhanced_input():
         "gate.wg": Tensor(np.zeros((8, 8))),
         "gate.bg": Tensor(np.full((1, 8), -20.0)),
     }
-    g = gate_values(x_att, params)
     a = Tensor(rng.normal(size=(2, 8)))
     b = Tensor(rng.normal(size=(2, 8)))
-    fused = apply_gate(g, a, b)
+    fused, gate = apply_gate(gate_values(x_att, params), a, b)
+    assert (gate < 1e-8).all()
     np.testing.assert_allclose(fused.data, b.data, atol=1e-8)
 
 
@@ -319,23 +320,25 @@ def test_gate_exact_zero_and_one_are_exact_selections():
     rng = np.random.default_rng(12)
     a = Tensor(rng.normal(size=(3, 5)))
     b = Tensor(rng.normal(size=(3, 5)))
-    zero = Tensor(np.zeros((3, 5)))
-    one = Tensor(np.ones((3, 5)))
-    np.testing.assert_array_equal(apply_gate(zero, a, b).data, b.data)
-    np.testing.assert_array_equal(apply_gate(one, a, b).data, a.data)
+    # logits of -inf and +inf give gates of exactly 0 and 1
+    for logit, expected in ((-np.inf, b), (np.inf, a)):
+        fused, gate = apply_gate(Tensor(np.full((3, 5), logit)), a, b)
+        np.testing.assert_array_equal(gate, float(logit > 0))
+        np.testing.assert_array_equal(fused.data, expected.data)
 
 
 def test_gate_random_case_matches_formula(model):
     rng = np.random.default_rng(13)
     x_att = Tensor(rng.normal(size=(2, 8)))
-    g = gate_values(x_att, model.params)
-    sig = 1.0 / (1.0 + np.exp(-(x_att.data @ model.params["gate.wg"].data + model.params["gate.bg"].data)))
-    np.testing.assert_allclose(g.data, sig, atol=1e-12)
+    logits = gate_values(x_att, model.params)
+    z = x_att.data @ model.params["gate.wg"].data + model.params["gate.bg"].data
+    np.testing.assert_allclose(logits.data, z, atol=1e-12)
+    sig = 1.0 / (1.0 + np.exp(-z))
     a = Tensor(rng.normal(size=(2, 8)))
     b = Tensor(rng.normal(size=(2, 8)))
-    np.testing.assert_allclose(
-        apply_gate(g, a, b).data, sig * a.data + (1 - sig) * b.data, atol=1e-12
-    )
+    fused, gate = apply_gate(logits, a, b)
+    np.testing.assert_allclose(gate, sig, atol=1e-12)
+    np.testing.assert_allclose(fused.data, sig * a.data + (1 - sig) * b.data, atol=1e-12)
 
 
 # mixture of experts
@@ -432,14 +435,15 @@ def test_softmax_weight_invariants_across_random_forwards(model):
     for _ in range(20):
         trace = model.forward(rng.normal(size=(4, 16, 3)))
         weights = (trace.intra_weights, trace.inter_weights, trace.head_weights,
-                   trace.moe_weights)
+                   trace.moe_weights, trace.gate)
         assert all(type(w) is np.ndarray for w in weights)
         np.testing.assert_allclose(trace.intra_weights.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(trace.inter_weights.sum(axis=1), 1.0, atol=1e-9)
         for w in trace.head_weights:
             np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(trace.moe_weights.sum(axis=1), 1.0, atol=1e-9)
-        assert (trace.gate.data > 0.0).all() and (trace.gate.data < 1.0).all()
+        assert trace.gate.shape == (4, 8)
+        assert (trace.gate > 0.0).all() and (trace.gate < 1.0).all()
 
 
 def test_disabled_stages_pass_operands_through():

@@ -83,7 +83,7 @@ def test_softmax_axis_out_of_range():
 
 
 def test_elementwise_trivia():
-    assert T.sigmoid(Tensor(0.0)).item() == 0.5
+    assert R.sigmoid(Tensor(0.0)).item() == 0.5
     assert R.tanh(Tensor(0.0)).item() == 0.0
 
 
@@ -228,8 +228,7 @@ def every_op_cases(seed):
             ("b1", (5, 1, 7)), ("w2", (5, 7, 7)), ("b2", (5, 1, 7)),
         )
     }
-    lin_x, lin_w, lin_b = (Tensor(rng.normal(size=s)) for s in ((3, 7), (7, 5), (1, 5)))
-    mix_a = Tensor(rng.uniform(size=(5, 7)))
+    mix_z = Tensor(rng.normal(size=(5, 7)))
     mix_x, mix_y = Tensor(rng.normal(size=(5, 7))), Tensor(rng.normal(size=(5, 7)))
 
     def sq(u):
@@ -248,9 +247,9 @@ def every_op_cases(seed):
         lambda t: T.tsum(T.tsum(t, axis=1) * 3.0),
         lambda t: T.tsum(t.mean(axis=0)),
         lambda t: T.tsum(R.tanh(t)),
-        lambda t: T.tsum(T.sigmoid(t)),
+        lambda t: T.tsum(R.sigmoid(t)),
         lambda t: T.tsum(R.relu(t + 0.1)),
-        lambda t: sq(T.sigmoid(t) + 0.5),
+        lambda t: sq(R.sigmoid(t) + 0.5),
         lambda t: T.tsum(R.softmax(t, axis=1) * t),
         lambda t: T.tsum(T.concat([t, t * 2.0], axis=1)),
         lambda t: T.tsum((t + (-1.0 * rng_const)) * t),
@@ -290,13 +289,10 @@ def every_op_cases(seed):
         lambda t: moe_with("b1", R.reshape(t, (5, 1, 7))),
         lambda t: moe_with("w2", moe["w2"] * R.reshape(t, (5, 7, 1))),
         lambda t: moe_with("b2", R.reshape(t, (5, 1, 7))),
-        lambda t: sq(T.linear_sigmoid(t, lin_w, lin_b)),
-        lambda t: sq(T.linear_sigmoid(lin_x, R.reshape(t, (7, 5)), lin_b)),
-        lambda t: sq(T.linear_sigmoid(lin_x, lin_w, R.getitem(t, np.s_[0:1, :5]))),
-        lambda t: sq(T.mix(t, mix_x, mix_y)),
-        lambda t: sq(T.mix(R.getitem(t, np.s_[1:2, 2:3]), mix_x, mix_y)),
-        lambda t: sq(T.mix(mix_a, t, mix_y)),
-        lambda t: sq(T.mix(mix_a, mix_x, t)),
+        lambda t: sq(T.sigmoid_mix(t, mix_x, mix_y)[0]),
+        lambda t: sq(T.sigmoid_mix(R.getitem(t, np.s_[1:2, 2:3]), mix_x, mix_y)[0]),
+        lambda t: sq(T.sigmoid_mix(mix_z, t, mix_y)[0]),
+        lambda t: sq(T.sigmoid_mix(mix_z, mix_x, t)[0]),
     ]
     cases += [
         lambda t, lam=lam, gamma=gamma: T.focal_cross_entropy(t, labels, lam, 0.7, gamma)
@@ -347,9 +343,10 @@ def test_every_node_op_has_a_gradcheck_case(monkeypatch):
     # builds a graph node must be reached by a case of the every-op gradcheck
     ops = node_ops(T) | node_ops(R)
     assert {("frameattn.tensor", name) for name in
-            ("add", "matmul", "conv1d_relu", "attention", "focal_cross_entropy")} <= ops
+            ("add", "matmul", "conv1d_relu", "attention", "sigmoid_mix",
+             "focal_cross_entropy")} <= ops
     assert {("reference_ops", name) for name in
-            ("transpose", "reshape", "getitem", "tanh", "relu", "softmax")} <= ops
+            ("transpose", "reshape", "getitem", "tanh", "relu", "sigmoid", "softmax")} <= ops
     x, cases = every_op_cases(0)
     reached = ops_reached(monkeypatch, lambda: [f(x) for f in cases])
     assert ops <= reached, f"no gradcheck case for {sorted(ops - reached)}"
@@ -378,7 +375,7 @@ def test_no_nan_inf_from_finite_inputs():
     extremes = Tensor(np.array([-1e6, -10.0, 0.0, 10.0, 1e6]))
     for out in (
         T._softmax(extremes.data, axis=0),
-        T.sigmoid(extremes).data,
+        T._sigmoid_stable(extremes.data),
         R.tanh(extremes).data,
     ):
         assert np.isfinite(out).all()
@@ -395,9 +392,9 @@ def test_no_grad_blocks_graph_recording():
 
 def test_backward_fault_hook_corrupts_named_op_only(scale_backward):
     x = Tensor(np.random.default_rng(5).normal(size=(4,)))
-    clean = gradcheck(lambda t: T.tsum(T.sigmoid(t) * t), x)
-    scale_backward("sigmoid", 1.05)
-    corrupted = gradcheck(lambda t: T.tsum(T.sigmoid(t) * t), x)
+    clean = gradcheck(lambda t: T.tsum(T.sigmoid_mix(t, t, t * t)[0]), x)
+    scale_backward("sigmoid_mix", 1.05)
+    corrupted = gradcheck(lambda t: T.tsum(T.sigmoid_mix(t, t, t * t)[0]), x)
     assert clean < 1e-6
     assert corrupted > 1e-3
 
@@ -409,13 +406,13 @@ def test_gradcheck_intermediate_with_shared_gradient_arrays():
         h = R.tanh(t)
         u = t * 2.0
         s = (h + h) + u
-        return T.tsum(s * s) + T.tsum(T.sigmoid(h) * u)
+        return T.tsum(s * s) + T.tsum(R.sigmoid(h) * u)
 
     def g(t):
         h = R.tanh(t)
         u = t * 2.0
         s = (h + h) + u
-        return T.tsum(T.sigmoid(h) * u) + T.tsum(s * s)
+        return T.tsum(R.sigmoid(h) * u) + T.tsum(s * s)
 
     x = Tensor(np.random.default_rng(7).normal(size=(3, 4)))
     assert gradcheck(f, x) < 1e-6
@@ -691,41 +688,34 @@ def test_mixture_of_experts_matches_composed_graph(batch, d, experts, h, n, seed
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    batch=st.integers(1, 4),
-    d=st.integers(1, 5),
-    n=st.integers(1, 5),
-    scale=st.sampled_from([1.0, 30.0]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_linear_sigmoid_matches_composed_graph(batch, d, n, scale, seed):
-    # scale 30 drives the sigmoid into both saturated tails
-    rng = np.random.default_rng(seed)
-    arrays = [scale * rng.normal(size=s) for s in ((batch, d), (d, n), (1, n))]
-    assert_fused_matches_composed(
-        T.linear_sigmoid, lambda x, w, b: T.sigmoid(x @ w + b), arrays,
-        rng.normal(size=(batch, n)),
-    )
+def composed_sigmoid_mix(z, x, y):
+    """The graph of elementary ops that ``T.sigmoid_mix`` replaces."""
+    s = R.sigmoid(z)
+    return s * x + (1.0 + (-1.0 * s)) * y, s
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     rows=st.integers(1, 5),
     cols=st.integers(1, 5),
-    a_rows_one=st.booleans(),
-    a_cols_one=st.booleans(),
+    z_rows_one=st.booleans(),
+    z_cols_one=st.booleans(),
+    scale=st.sampled_from([1.0, 30.0]),
+    saturated=st.lists(st.sampled_from([40.0, -40.0, 800.0, -800.0]), max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_mix_matches_composed_graph(rows, cols, a_rows_one, a_cols_one, seed):
-    # the gate's full-shape weight and the blend's (1, 1) weight, and the
-    # broadcast shapes in between
+def test_sigmoid_mix_matches_composed_graph(
+    rows, cols, z_rows_one, z_cols_one, scale, saturated, seed
+):
+    # the gate's full-shape logits and the blend's (1, 1) logit, and the
+    # broadcast shapes in between; scale 30 and the saturated entries drive
+    # the sigmoid into both tails (at -800 and 800 it is exactly 0 and 1)
     rng = np.random.default_rng(seed)
-    a_shape = (1 if a_rows_one else rows, 1 if a_cols_one else cols)
-    arrays = [rng.uniform(size=a_shape), *rng.normal(size=(2, rows, cols))]
+    z = scale * rng.normal(size=(1 if z_rows_one else rows, 1 if z_cols_one else cols))
+    z.flat[: len(saturated)] = saturated[: z.size]
+    arrays = [z, *rng.normal(size=(2, rows, cols))]
     assert_fused_matches_composed(
-        T.mix, lambda a, x, y: a * x + (1.0 + (-1.0 * a)) * y, arrays,
-        rng.normal(size=(rows, cols)),
+        T.sigmoid_mix, composed_sigmoid_mix, arrays, rng.normal(size=(rows, cols))
     )
 
 
@@ -739,7 +729,5 @@ def test_fused_stage_ops_reject_bad_shapes():
         T.mixture_of_experts(z(2, 4), z(4, 2), z(3, 4, 5), z(2, 1, 5), z(2, 5, 4), z(2, 1, 4))
     with pytest.raises(ShapeError, match=r"mixture_of_experts.*\(2, 1, 3\)"):
         T.mixture_of_experts(z(2, 4), z(4, 2), z(2, 4, 5), z(2, 1, 5), z(2, 5, 4), z(2, 1, 3))
-    with pytest.raises(ShapeError, match=r"linear_sigmoid.*\(2, 4\).*\(3, 5\)"):
-        T.linear_sigmoid(z(2, 4), z(3, 5), z(1, 5))
-    with pytest.raises(ShapeError, match=r"mix.*\(3, 1\), \(2, 4\) and \(2, 4\)"):
-        T.mix(z(3, 1), z(2, 4), z(2, 4))
+    with pytest.raises(ShapeError, match=r"sigmoid_mix.*\(3, 1\), \(2, 4\) and \(2, 4\)"):
+        T.sigmoid_mix(z(3, 1), z(2, 4), z(2, 4))
