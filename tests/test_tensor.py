@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from frameattn import tensor as T
 from frameattn.errors import ConfigError, FrameAttnError, ShapeError
 from frameattn.losses import LossConfig, combined_loss
-from frameattn.model import AttentionModel, ModelConfig, tiny_gradcheck_config
+from frameattn.model import (
+    AttentionModel,
+    ModelConfig,
+    apply_gate,
+    combine_attention,
+    gate_values,
+    tiny_gradcheck_config,
+)
 from frameattn.tensor import Tensor, backward, gradcheck
 
 
@@ -718,6 +725,54 @@ def test_sigmoid_mix_matches_composed_graph(
         T.sigmoid_mix, composed_sigmoid_mix, arrays, rng.normal(size=(rows, cols))
     )
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 4),
+    d=st.integers(1, 5),
+    n=st.integers(1, 5),
+    scale=st.sampled_from([1.0, 30.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_linear_sigmoid_matches_composed_graph(batch, d, n, scale, seed):
+    # the gate stage as the model builds it, affine logits from gate_values
+    # blended by apply_gate, against sigmoid(x @ w + b) as its own node;
+    # the gradients reach x, w and b through the sigmoid.  Scale 30 drives
+    # the sigmoid into both saturated tails
+    rng = np.random.default_rng(seed)
+    arrays = [scale * rng.normal(size=s) for s in ((batch, d), (d, n), (1, n))]
+    arrays += list(rng.normal(size=(2, batch, n)))
+
+    def gate_stage(x, w, b, a_mul, x_enhanced):
+        logits = gate_values(x, {"gate.wg": w, "gate.bg": b})
+        return apply_gate(logits, a_mul, x_enhanced)
+
+    assert_fused_matches_composed(
+        gate_stage, lambda x, w, b, u, v: composed_sigmoid_mix(x @ w + b, u, v),
+        arrays, rng.normal(size=(batch, n)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 5),
+    d=st.integers(1, 5),
+    alpha=st.one_of(
+        st.floats(-30.0, 30.0), st.sampled_from([40.0, -40.0, 800.0, -800.0])
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mix_matches_composed_graph(batch, d, alpha, seed):
+    # the blend stage as the model builds it: combine_attention weights
+    # a_inter by sigmoid of the (1, 1) logit alpha and a_intra by the rest
+    rng = np.random.default_rng(seed)
+    arrays = [*rng.normal(size=(2, batch, d)), np.array([[alpha]])]
+    assert_fused_matches_composed(
+        combine_attention,
+        lambda a_inter, a_intra, a: composed_sigmoid_mix(a, a_inter, a_intra)[0],
+        arrays, rng.normal(size=(batch, d)),
+    )
 
 def test_fused_stage_ops_reject_bad_shapes():
     z = lambda *s: Tensor(np.zeros(s))  # noqa: E731
