@@ -20,7 +20,9 @@ writes one run directory and ``ablate`` one per grid point and seed.  An
 ablation cell overrides only [model] and [loss] (``COMPONENT_CELLS``); the
 grid point sets the strategy, batch size and seed.  Every [data] value and
 every config a command uses is built, and so checked, before any data is
-read; the model's channel and class counts come from the data.
+read.  ``train`` takes the model's channel and class counts from the data;
+``eval`` takes them from the run: the normalizer's width and the
+checkpoint's classes (the width of its ``cls.b`` record).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .data import (
     prepare_splits,
     write_sessions,
 )
-from .errors import ConfigError, DataError, FrameAttnError, NumericError
+from .errors import CheckpointError, ConfigError, DataError, FrameAttnError, NumericError
 from .losses import LossConfig
 from .model import (
     AttentionModel,
@@ -194,7 +196,8 @@ class RunConfig:
 
     def model_config(self) -> ModelConfig:
         """[model] at the [data] window.  ``channels`` and ``classes`` are
-        placeholders until ``_fit_to_data`` takes them from the data."""
+        placeholders: ``train`` takes them from the data, ``eval`` from the
+        run (the normalizer's width and the checkpoint's classes)."""
         return self.build(
             ModelConfig,
             "model",
@@ -229,10 +232,6 @@ def _overrides_from_args(args: argparse.Namespace) -> dict[str, dict[str, str]]:
         section, key = dotted.split(".", 1)
         ov.setdefault(section, {})[key.strip()] = value.strip()
     return ov
-
-
-def _fit_to_data(model_cfg: ModelConfig, splits: DataSplits) -> ModelConfig:
-    return replace(model_cfg, channels=splits.stats.mean.size, classes=splits.classes)
 
 
 def _write_normalizer(stats: NormStats, out_dir: Path) -> None:
@@ -283,7 +282,11 @@ def _train_run(run: RunConfig, train_cfg: TrainConfig, model_cfg: ModelConfig,
     """Train one run of ``run``'s configs into the run directory ``out``.
     The model config is fitted to the data, and so checked, before any file
     is written."""
-    model_cfg = _fit_to_data(model_cfg, splits)
+    if splits.classes < 2:
+        raise DataError(
+            f"the labels span [0, {splits.classes - 1}]: training needs 2 or more classes"
+        )
+    model_cfg = replace(model_cfg, channels=splits.stats.mean.size, classes=splits.classes)
     run.write_resolved(out)
     _write_normalizer(splits.stats, out)
     return train(
@@ -313,12 +316,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     stats = _read_normalizer(run_dir / "normalizer.json")
     splits = prepare_splits(load_recordings(args.data), **split_args, stats=stats)
 
+    arrays = checkpoint_load(ckpt_path)
+    bias = arrays.get("cls.b", np.empty(0))
+    if bias.ndim != 2 or bias.shape[1] < 2:
+        raise CheckpointError(f"{ckpt_path}: no (1, C) 'cls.b' record with C >= 2 classes")
+    classes = bias.shape[1]
+    if splits.classes > classes:
+        raise DataError(f"label {splits.classes - 1} in {args.data} is not one of the "
+                        f"checkpoint's {classes} classes")
     # every parameter comes from the checkpoint, so the init seed is immaterial
-    model = AttentionModel(_fit_to_data(model_cfg, splits))
-    model.load_state(checkpoint_load(ckpt_path))
+    model = AttentionModel(replace(model_cfg, channels=stats.mean.size, classes=classes))
+    model.load_state(arrays)
 
     frames = {"train": splits.train, "val": splits.val, "test": splits.test}[args.split]
-    loss, report = evaluate(model, frames, train_cfg.batch_size, train_cfg.loss, splits.classes)
+    loss, report = evaluate(model, frames, train_cfg.batch_size, train_cfg.loss, classes)
     print(f"split {args.split}: mean F1 {report.mean_f1:.6f}, loss {loss:.6f}")
     print("class  tp  fp  fn  f1")
     for c in range(report.classes):

@@ -385,15 +385,7 @@ class SynthConfig:
 
 def signature_groups(cfg: SynthConfig) -> list[int]:
     """Map class id -> signature group id; pair elements share a group."""
-    if not cfg.context:
-        return list(range(cfg.classes))
-    groups = []
-    for c in range(cfg.classes):
-        if c < 2 * cfg.n_pairs:
-            groups.append(c // 2)
-        else:
-            groups.append(cfg.n_pairs + (c - 2 * cfg.n_pairs))
-    return groups
+    return [c // 2 if c < 2 * cfg.n_pairs else c - cfg.n_pairs for c in range(cfg.classes)]
 
 
 def _signature_params(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -411,36 +403,25 @@ def _signature_params(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
     return amp, freq, offset
 
 
-class _ChainIter:
-    """Hidden activity sequence.
+def _chain(cfg: SynthConfig, rng: np.random.Generator, start: int):
+    """Hidden activity sequence, one class per ``next``.
 
     Context mode alternates context class -> pair element -> next context
     class (rotating), with the pair element's parity fixed by the preceding
     context class.  Plain mode walks uniformly among all classes, never
     repeating the current one.
     """
-
-    def __init__(self, cfg: SynthConfig, rng: np.random.Generator, start: int):
-        self.cfg = cfg
-        self.rng = rng
-        self.ctx_index = start % cfg.n_context if cfg.context else 0
-        self.on_context = True
-        self.current = start % cfg.classes
-
-    def next_class(self) -> int:
-        cfg = self.cfg
-        if not cfg.context:
-            step = int(self.rng.integers(1, cfg.classes))
-            self.current = (self.current + step) % cfg.classes
-            return self.current
-        if self.on_context:
-            cls = 2 * cfg.n_pairs + self.ctx_index
-        else:
-            pair = int(self.rng.integers(cfg.n_pairs))
-            cls = 2 * pair + (self.ctx_index % 2)
-            self.ctx_index = (self.ctx_index + 1) % cfg.n_context
-        self.on_context = not self.on_context
-        return cls
+    if not cfg.context:
+        current = start % cfg.classes
+        while True:
+            current = (current + int(rng.integers(1, cfg.classes))) % cfg.classes
+            yield current
+    n_pairs, n_context = cfg.n_pairs, cfg.n_context
+    ctx = start % n_context
+    while True:
+        yield 2 * n_pairs + ctx
+        yield 2 * int(rng.integers(n_pairs)) + ctx % 2
+        ctx = (ctx + 1) % n_context
 
 
 def generate_synthetic(cfg: SynthConfig) -> list[Recording]:
@@ -451,12 +432,12 @@ def generate_synthetic(cfg: SynthConfig) -> list[Recording]:
     recordings = []
     for s in range(cfg.sessions):
         rng = np.random.default_rng(mix64(cfg.seed, TAG_SYNTH, s + 1))
-        chain = _ChainIter(cfg, rng, start=s)
+        chain = _chain(cfg, rng, start=s)
         samples = np.empty((cfg.session_len, cfg.channels))
         labels = np.empty(cfg.session_len, dtype=np.int64)
         pos = 0
         while pos < cfg.session_len:
-            cls = chain.next_class()
+            cls = next(chain)
             dwell = int(max(2 * cfg.window, round(rng.normal(mean_dwell, 0.25 * mean_dwell))))
             end = min(pos + dwell, cfg.session_len)
             g = groups[cls]
@@ -481,10 +462,9 @@ def write_sessions(recordings: list[Recording], out_dir: str | Path, manifest: d
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t"] + [f"ch{i + 1}" for i in range(n_ch)] + ["label"])
-            for t in range(len(rec.samples)):
-                writer.writerow(
-                    [t] + [repr(float(v)) for v in rec.samples[t]] + [int(rec.labels[t])]
-                )
+            # row by row: a whole session as Python floats would raise peak memory
+            rows = zip(rec.samples, rec.labels.tolist())
+            writer.writerows([t, *row.tolist(), label] for t, (row, label) in enumerate(rows))
         paths.append(path)
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -92,10 +92,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.data.shape}")
@@ -123,8 +119,8 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def mean(self, axis: int | None = None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
+    def mean(self, axis: int | None = None):
+        return tmean(self, axis=axis)
 
 
 def _as_tensor(x) -> Tensor:
@@ -216,21 +212,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), rule)
 
 
-def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     a = _as_tensor(a)
 
     def rule(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         _acc(a, np.broadcast_to(g, a.data.shape))
 
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), rule)
+    return _node(a.data.sum(axis=axis), (a,), rule)
 
 
-def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tmean(a: Tensor, axis: int | None = None) -> Tensor:
     a = _as_tensor(a)
     n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
+    return mul(tsum(a, axis=axis), 1.0 / float(n))
 
 
 def _sigmoid_stable(z: Array) -> Array:

@@ -261,15 +261,69 @@ def test_train_determinism_byte_identical_metrics(tmp_path, tiny_config, dataset
     assert (tmp_path / "a/checkpoint.bin").read_bytes() == (tmp_path / "b/checkpoint.bin").read_bytes()
 
 
-def test_eval_class_count_mismatch_exit_1(tmp_path, tiny_config, dataset):
+@pytest.fixture
+def four_class_run(tmp_path, tiny_config, dataset):
+    """The 4-class data set and a run trained on it for one epoch."""
     run_dir = tmp_path / "run"
-    main(["train", "--config", tiny_config, "--data", dataset, "--out", str(run_dir)])
-    other_data = tmp_path / "data6"
-    assert main(["datagen", "--config", tiny_config, "--out", str(other_data),
+    assert main(["train", "--config", tiny_config, "--data", dataset, "--out", str(run_dir),
+                 "--set", "train.epochs=1"]) == 0
+    return Path(dataset), run_dir
+
+
+def relabelled_copy(data_dir: Path, out: Path, relabel) -> str:
+    """The sessions of ``data_dir`` in ``out``, each row's label mapped by
+    ``relabel(label, row index)``."""
+    out.mkdir()
+    for session in sorted(data_dir.glob("session_*.csv")):
+        header, *rows = session.read_text().splitlines()
+        rows = [r.rsplit(",", 1) for r in rows]
+        lines = [f"{head},{relabel(int(label), i)}" for i, (head, label) in enumerate(rows)]
+        (out / session.name).write_text("\n".join([header, *lines]) + "\n")
+    return str(out)
+
+
+def test_eval_scores_with_the_checkpoints_classes(tmp_path, four_class_run, capsys):
+    # class 3 relabelled 2: the data has 3 classes, the checkpoint 4, and
+    # the absent class scores F1 0
+    data_dir, run_dir = four_class_run
+    data = relabelled_copy(data_dir, tmp_path / "data3", lambda label, i: min(label, 2))
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"), "--data", data,
+                 "--out", str(tmp_path / "eval")])
+    assert code == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [int(r.split()[0]) for r in rows] == [0, 1, 2, 3]
+    assert rows[3].split()[1] == "0" and rows[3].split()[3] == "0"  # tp, fn
+    per_class = json.loads((tmp_path / "eval/eval_test.json").read_text())["per_class_f1"]
+    assert len(per_class) == 4 and per_class[3] == 0.0
+
+
+def test_eval_label_outside_checkpoint_classes_exit_2(tmp_path, tiny_config, four_class_run,
+                                                      capsys):
+    data_dir, run_dir = four_class_run
+    six = tmp_path / "data6"
+    assert main(["datagen", "--config", tiny_config, "--out", str(six),
                  "--set", "synthetic.classes=6", "--set", "synthetic.seed=5"]) == 0
-    code = main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"),
-                 "--data", str(other_data)])
+    seven = relabelled_copy(data_dir, tmp_path / "data7", lambda label, i: 7 if i == 3 else label)
+    for data, label in ((str(six), 5), (seven, 7)):
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(run_dir / "checkpoint.bin"), "--data", data])
+        assert code == 2
+        assert f"label {label} in {data} is not one of the checkpoint's 4 classes" in (
+            capsys.readouterr().err
+        )
+
+
+@pytest.mark.parametrize("arrays", [{"cls.w": np.zeros((8, 4))}, {"cls.b": np.zeros((1, 1))},
+                                    {"cls.b": np.zeros(4)}], ids=["absent", "one-class", "rank-1"])
+def test_eval_checkpoint_without_class_bias_exit_1(tmp_path, tiny_config, dataset, capsys,
+                                                   arrays):
+    checkpoint = write_run_dir(tmp_path / "run", '{"mean": [0, 0, 0], "std": [1, 1, 1]}',
+                               config=tiny_config)
+    checkpoint_save(arrays, checkpoint)
+    code = main(["eval", "--checkpoint", checkpoint, "--data", dataset])
     assert code == 1
+    assert "no (1, C) 'cls.b' record with C >= 2 classes" in capsys.readouterr().err
 
 
 def test_ablate_flag_prefixes_are_usage_errors(capsys):
@@ -500,16 +554,21 @@ def test_config_file_and_set_fuzz_load_or_config_error(tmp_path_factory, text, s
                 assert math.isfinite(value), (type(cfg).__name__, f.name)
 
 
-def test_train_on_one_class_data_exit_1(tmp_path, tiny_config, capsys):
+def test_one_class_data_exit_2_before_any_run_file(tmp_path, tiny_config, capsys):
     data_dir = tmp_path / "one_class"
     data_dir.mkdir()
     for i in range(3):
         rows = "".join(f"{t},{0.1 * t},{i},{-t},0\n" for t in range(40))
         (data_dir / f"session_{i}.csv").write_text("t,ch1,ch2,ch3,label\n" + rows)
-    code = main(["train", "--config", tiny_config, "--data", str(data_dir),
-                 "--out", str(tmp_path / "run")])
-    assert code == 1
-    assert "classes must be >= 2, got 1" in capsys.readouterr().err
+    for command, extra in (("train", []), ("ablate", ["--cells", "full", "--seeds", "0"])):
+        out = tmp_path / command
+        code = main([command, "--config", tiny_config, "--data", str(data_dir),
+                     "--out", str(out), *extra])
+        assert code == 2
+        assert "the labels span [0, 0]: training needs 2 or more classes" in (
+            capsys.readouterr().err
+        )
+        assert not list(out.rglob("run_config.ini"))
 
 
 @pytest.mark.parametrize(

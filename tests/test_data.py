@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from frameattn.data import (
     Recording,
     SynthConfig,
     WindowSpec,
-    _ChainIter,
+    _chain,
     apply_normalizer,
     build_frames,
     fit_normalizer,
@@ -359,8 +361,8 @@ def test_synthetic_no_context_gives_distinct_groups():
 
 def test_synthetic_plain_chain_never_repeats_and_is_deterministic():
     cfg = SynthConfig(classes=3, context=False, sessions=2, session_len=2000, seed=8)
-    chain = _ChainIter(cfg, np.random.default_rng(0), start=1)
-    walk = [chain.current] + [chain.next_class() for _ in range(300)]
+    chain = _chain(cfg, np.random.default_rng(0), start=1)
+    walk = [1] + [next(chain) for _ in range(300)]  # the walk starts at class 1
     assert all(a != b for a, b in zip(walk, walk[1:]))
     assert set(walk) == {0, 1, 2}
     a, b = generate_synthetic(cfg), generate_synthetic(cfg)
@@ -368,6 +370,68 @@ def test_synthetic_plain_chain_never_repeats_and_is_deterministic():
         np.testing.assert_array_equal(ra.samples, rb.samples)
         np.testing.assert_array_equal(ra.labels, rb.labels)
     assert {int(c) for r in a for c in np.unique(r.labels)} == {0, 1, 2}
+
+
+@pytest.mark.parametrize(
+    "start, expected", [(0, [2, 0, 3, 1, 2, 0, 3, 1]), (1, [3, 1, 2, 0])]
+)
+def test_synthetic_context_chain_order_at_four_classes(start, expected):
+    chain = _chain(SynthConfig(classes=4), np.random.default_rng(0), start)
+    assert [next(chain) for _ in expected] == expected
+
+
+@pytest.mark.parametrize("classes", [5, 7])
+def test_synthetic_context_chain_pair_parity(classes):
+    # context classes rotate from the start; each pair element has the
+    # parity of the preceding context class's index among the context classes
+    cfg = SynthConfig(classes=classes)
+    chain = _chain(cfg, np.random.default_rng(2), start=2)
+    walk = [next(chain) for _ in range(4 * cfg.n_context)]
+    contexts, pairs = walk[::2], walk[1::2]
+    first = 2 * cfg.n_pairs
+    assert contexts == [first + (2 + k) % cfg.n_context for k in range(len(contexts))]
+    assert all(p < first and p % 2 == (c - first) % 2 for c, p in zip(contexts, pairs))
+    assert len(set(pairs)) > 1
+
+
+# sha256 of every file write_sessions writes, computed before the chain
+# became a generator; a change to the RNG draw order or to how a float is
+# spelled moves them.  With one pair the pair draw, integers(1), consumes no
+# randomness, so only the 7-class case (two pairs) pins where it happens.
+_GOLDEN_SESSIONS = [
+    (
+        SynthConfig(classes=5, sessions=2, session_len=640, seed=3),
+        {
+            "session_00.csv": "2555ab294d3fe1b778a9fbc8914b89d00401c6a5eba31a5170b8f812d4c401b5",
+            "session_01.csv": "b26727f6c15379b461e5f3f327947a1870f87c4cfaeb375bbff29515b16e3a76",
+            "manifest.json": "9242e624e6ff3ce442d35b2e56823e1dffb76ecb5fa4065ae19340cd753e40c2",
+        },
+    ),
+    (
+        SynthConfig(classes=7, sessions=2, session_len=640, seed=3),
+        {
+            "session_00.csv": "81633b19ca6d9dea7ebe3d2a6c8fc286f481a83660cb4b90333c5c7f1bc80089",
+            "session_01.csv": "a7c3b1f5522e35cb986687b3d9cfc72d6a1b4d624b3c8608b5ad708133875a6e",
+            "manifest.json": "79a57abb31a946bab6edc52e26016f98ee188180388f128b48c4c7c07e1d0233",
+        },
+    ),
+    (
+        SynthConfig(classes=3, context=False, sessions=2, session_len=640, seed=3),
+        {
+            "session_00.csv": "2b2c3a3baf4a0e15f1e63dc6aa23f068fda37dc9609ede37c392ecaa44f2e7f8",
+            "session_01.csv": "0606b74f6a912fd600ba3f2c6ab1845da981e60e5894d301b7f7c1e1e857a9dc",
+            "manifest.json": "993a776c97dfd7b773692e2749afdd412a9b139e858b9f8cf3ef95ebebc89e7e",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg, digests", _GOLDEN_SESSIONS, ids=["context5", "context7", "plain3"])
+def test_synthetic_sessions_match_golden_bytes(tmp_path, cfg, digests):
+    recs = generate_synthetic(cfg)
+    manifest = {"seed": cfg.seed, "config": asdict(cfg), "sessions": [r.session_id for r in recs]}
+    paths = write_sessions(recs, tmp_path, manifest)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} == digests
 
 
 def test_synthetic_context_needs_four_classes():
