@@ -9,7 +9,8 @@ defaults of ``ModelConfig``, ``SynthConfig``, ``TrainConfig`` and
 ``LossConfig``; only the [data] section and ``model.disable`` are listed
 here.  Every failure, a malformed command line included, is a
 ``FrameAttnError`` and exits with its class's ``exit_code`` (see
-``errors.py``).
+``errors.py``); running out of memory prints ``error: out of memory: ...``
+and exits 1.
 
 A run directory holds ``run_config.ini`` (the resolved configuration, in the
 ``--config`` format), ``normalizer.json`` (train-split channel stats),
@@ -18,7 +19,9 @@ A run directory holds ``run_config.ini`` (the resolved configuration, in the
 ``run_config.ini`` unless ``--config`` is given) and the data.  ``train``
 writes one run directory and ``ablate`` one per grid point and seed.  An
 ablation cell overrides only [model] and [loss] (``COMPONENT_CELLS``); the
-grid point sets the strategy, batch size and seed.  Every [data] value and
+grid point sets the strategy, batch size and seed.  A grid flag that is
+absent takes the one resolved [train] value, so ``ablate --config
+<run>/run_config.ini`` repeats that run's grid point.  Every [data] value and
 every config a command uses is built, and so checked, before any data is
 read.  ``train`` takes the model's channel and class counts from the data;
 ``eval`` takes them from the run: the normalizer's width and the
@@ -40,7 +43,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .batching import TIME_SEQUENTIAL
 from .data import (
     DataSplits,
     NormStats,
@@ -299,10 +301,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_cfg, model_cfg, split_args = run.train_config(), run.model_config(), run.split_args()
     out = _out_dir(args.out)
     splits = prepare_splits(load_recordings(args.data), **split_args)
-    result = _train_run(run, train_cfg, model_cfg, splits, out, args.dump_plan)
+    history = _train_run(run, train_cfg, model_cfg, splits, out, args.dump_plan).history
+    test = history[-1]
+    val = next(r for r in history if r["split"] == "val" and r["epoch"] == test["epoch"])
     print(
-        f"best epoch {result.best_epoch} (val mean F1 {result.best_val_f1:.4f}); "
-        f"test mean F1 {result.test_report.mean_f1:.4f}"
+        f"best epoch {test['epoch']} (val mean F1 {val['mean_f1']:.4f}); "
+        f"test mean F1 {test['mean_f1']:.4f}"
     )
     return 0
 
@@ -329,20 +333,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model.load_state(arrays)
 
     frames = {"train": splits.train, "val": splits.val, "test": splits.test}[args.split]
-    loss, report = evaluate(model, frames, train_cfg.batch_size, train_cfg.loss, classes)
-    print(f"split {args.split}: mean F1 {report.mean_f1:.6f}, loss {loss:.6f}")
+    loss, acc = evaluate(model, frames, train_cfg.batch_size, train_cfg.loss, classes)
+    f1 = acc.per_class_f1
+    print(f"split {args.split}: mean F1 {acc.mean_f1:.6f}, loss {loss:.6f}")
     print("class  tp  fp  fn  f1")
-    for c in range(report.classes):
-        print(
-            f"{c:5d} {report.tp[c]:3d} {report.fp[c]:3d} {report.fn[c]:3d} "
-            f"{report.per_class_f1[c]:.4f}"
-        )
+    for c in range(acc.classes):
+        print(f"{c:5d} {acc.tp[c]:3d} {acc.fp[c]:3d} {acc.fn[c]:3d} {f1[c]:.4f}")
     if out:
         out.mkdir(parents=True, exist_ok=True)
         record = {
             "split": args.split,
-            "mean_f1": report.mean_f1,
-            "per_class_f1": [float(v) for v in report.per_class_f1],
+            "mean_f1": acc.mean_f1,
+            "per_class_f1": [float(v) for v in f1],
             "loss": loss,
         }
         (out / f"eval_{args.split}.json").write_text(json.dumps(record, indent=2) + "\n")
@@ -365,10 +367,13 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_list(flag: str, text: str, parse=str) -> list:
+def _grid_list(flag: str, text: str | None, parse=str, absent=None) -> list:
     """At least one comma-separated value, each ``parse``d (only ``int``
     can fail), and no two equal: a repeated value would train one grid point
-    twice and count its score twice."""
+    twice and count its score twice.  An absent flag (``text`` None) gives
+    ``[absent]``."""
+    if text is None:
+        return [absent]
     try:
         values = [parse(v.strip()) for v in text.split(",") if v.strip()]
     except ValueError:
@@ -415,7 +420,7 @@ def ablate(run: RunConfig, data_dir: str, cells: list[str], strategies: list[str
             seed = train_cfg.seed
             try:
                 result = _train_run(seed_run, train_cfg, model_cfg, splits, cell_out)
-                scores.append(result.test_report.mean_f1)
+                scores.append(result.history[-1]["mean_f1"])
             except NumericError as e:
                 status, message = "failed", str(e)
                 print(f"cell {cell}/{strategy}/b{bs} seed {seed} failed: {e}", file=sys.stderr)
@@ -449,9 +454,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"unknown ablation cell '{cell}' (expected one of {sorted(COMPONENT_CELLS)})"
             )
-    strategies = _grid_list("--strategies", args.strategies)
-    batch_sizes = _grid_list("--batch-sizes", args.batch_sizes, int)
-    seeds = _grid_list("--seeds", args.seeds, int)
+    train_cfg = run.train_config()
+    strategies = _grid_list("--strategies", args.strategies, absent=train_cfg.strategy)
+    batch_sizes = _grid_list("--batch-sizes", args.batch_sizes, int, train_cfg.batch_size)
+    seeds = _grid_list("--seeds", args.seeds, int, train_cfg.seed)
     out = _out_dir(args.out)
     rows = ablate(run, args.data, cells, strategies, batch_sizes, seeds, out)
 
@@ -517,9 +523,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--cells", default="baseline,intra,inter,both,full")
-    p.add_argument("--strategies", default=TIME_SEQUENTIAL)
-    p.add_argument("--batch-sizes", dest="batch_sizes", default="128")
-    p.add_argument("--seeds", default="0,1,2")
+    p.add_argument("--strategies",
+                   help="comma-separated batch strategies (default: train.strategy)")
+    p.add_argument("--batch-sizes", dest="batch_sizes",
+                   help="comma-separated batch sizes (default: train.batch_size)")
+    p.add_argument("--seeds", help="comma-separated seeds, each trained once per grid point "
+                   "(default: train.seed alone, so one seed)")
     p.set_defaults(func=cmd_ablate)
 
     return parser
@@ -532,6 +541,9 @@ def main(argv: list[str] | None = None) -> int:
     except FrameAttnError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

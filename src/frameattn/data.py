@@ -452,12 +452,20 @@ def generate_synthetic(cfg: SynthConfig) -> list[Recording]:
 
 
 def write_sessions(recordings: list[Recording], out_dir: str | Path, manifest: dict) -> list[Path]:
-    """Write one CSV per session plus manifest.json; returns written paths."""
+    """Write one CSV per session plus manifest.json; returns written paths.
+    A CSV already in ``out_dir`` that this call would not write is a
+    ConfigError, raised before anything is written: ``load_recordings``
+    reads every CSV there, so it would join this set."""
     out = Path(out_dir)
+    names = [f"{rec.session_id}.csv" for rec in recordings]
+    stale = sorted({p.name for p in out.glob("*.csv")}.difference(names))
+    if stale:
+        raise ConfigError(f"{out} holds sessions this set does not have: {', '.join(stale)}; "
+                          "remove them or write to another directory")
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for rec in recordings:
-        path = out / f"{rec.session_id}.csv"
+    for rec, name in zip(recordings, names):
+        path = out / name
         n_ch = rec.samples.shape[1]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -2,7 +2,9 @@
 
 Each class carries the exit code the CLI returns for it: ``exit_code`` 1 for
 configuration, usage, shape and checkpoint errors, 2 for DataError
-(ParseError included), 3 for NumericError.
+(ParseError included), 3 for NumericError.  A MemoryError is not in the
+taxonomy, since any allocation can raise it; the CLI reports it as
+``error: out of memory: ...`` and exits 1.
 """
 
 

@@ -61,23 +61,10 @@ def combined_loss(logits: Tensor, labels: np.ndarray, config: LossConfig) -> Ten
     return T.focal_cross_entropy(logits, labels, config.lam, config.beta, config.gamma)
 
 
-@dataclass
-class MetricsReport:
-    """Per-class confusion counts and F1 scores plus the unweighted mean."""
-
-    tp: np.ndarray
-    fp: np.ndarray
-    fn: np.ndarray
-    per_class_f1: np.ndarray
-    mean_f1: float
-
-    @property
-    def classes(self) -> int:
-        return len(self.tp)
-
-
 class MetricsAccumulator:
-    """Running TP/FP/FN counts over successive updates."""
+    """Running TP/FP/FN counts over successive updates, and the per-class F1
+    and unweighted mean F1 of the counts so far: the one place a split's
+    scores are computed."""
 
     def __init__(self, classes: int):
         if classes < 1:
@@ -106,17 +93,15 @@ class MetricsAccumulator:
         self.fp += np.bincount(predictions[~hit], minlength=self.classes)
         self.fn += np.bincount(labels[~hit], minlength=self.classes)
 
-    def report(self) -> MetricsReport:
-        """Per-class F1 and its unweighted mean over all ``classes``: a class
-        with no true or predicted instance scores 0 (the 0/0 guard) and still
-        counts in the divisor."""
+    @property
+    def per_class_f1(self) -> np.ndarray:
+        """F1 of each class; a class with no true or predicted instance
+        scores 0 (the 0/0 guard)."""
         denom = 2 * self.tp + self.fp + self.fn
         with np.errstate(divide="ignore", invalid="ignore"):
-            f1 = np.where(denom > 0, 2.0 * self.tp / np.where(denom > 0, denom, 1), 0.0)
-        return MetricsReport(
-            tp=self.tp.copy(),
-            fp=self.fp.copy(),
-            fn=self.fn.copy(),
-            per_class_f1=f1,
-            mean_f1=float(f1.mean()),
-        )
+            return np.where(denom > 0, 2.0 * self.tp / np.where(denom > 0, denom, 1), 0.0)
+
+    @property
+    def mean_f1(self) -> float:
+        """Unweighted mean of ``per_class_f1`` over all ``classes``."""
+        return float(self.per_class_f1.mean())

@@ -22,7 +22,7 @@ from . import tensor as T
 from .batching import STRATEGIES, TIME_SEQUENTIAL, build_plan, canonical_batches
 from .data import Frame
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
-from .losses import LossConfig, MetricsAccumulator, MetricsReport, combined_loss
+from .losses import LossConfig, MetricsAccumulator, combined_loss
 from .model import AttentionModel, ModelConfig
 from .seeding import TAG_DROPOUT, mix64
 from .tensor import Tensor
@@ -162,8 +162,9 @@ def evaluate(
     batch_size: int,
     loss_cfg: LossConfig,
     classes: int,
-) -> tuple[float, MetricsReport]:
-    """Eval-mode pass over chronological batches; returns mean loss and F1."""
+) -> tuple[float, MetricsAccumulator]:
+    """Eval-mode pass over chronological batches; returns the mean loss and
+    the accumulated counts, which give the F1 scores."""
     acc = MetricsAccumulator(classes)
     total_loss = 0.0
     with T.no_grad():
@@ -173,7 +174,7 @@ def evaluate(
             loss = combined_loss(trace.logits, labels, loss_cfg)
             total_loss += loss.item() * len(batch)
             acc.update(trace.logits.data.argmax(axis=1), labels)
-    return total_loss / max(1, len(frames)), acc.report()
+    return total_loss / max(1, len(frames)), acc
 
 
 def checkpoint_save(arrays: dict[str, np.ndarray], path: str | Path) -> None:
@@ -242,13 +243,12 @@ def checkpoint_load(path: str | Path) -> dict[str, np.ndarray]:
 
 @dataclass
 class TrainResult:
+    """A run's metrics records, as written to metrics.jsonl: one per (epoch,
+    split), the last the test split's at the best epoch.  Every score is a
+    field of a record, and the files are fixed names in the run directory,
+    so nothing else is kept; the class stays so callers read ``.history``."""
+
     history: list[dict]
-    best_epoch: int
-    best_val_f1: float
-    test_report: MetricsReport
-    test_loss: float
-    checkpoint_path: Path
-    metrics_path: Path
 
 
 def train(
@@ -288,12 +288,12 @@ def train(
     best_epoch = -1
     classes = model_cfg.classes
 
-    def record(epoch: int, split: str, report: MetricsReport, loss: float) -> None:
+    def record(epoch: int, split: str, acc: MetricsAccumulator, loss: float) -> None:
         rec = {
             "epoch": epoch,
             "split": split,
-            "mean_f1": report.mean_f1,
-            "per_class_f1": [float(v) for v in report.per_class_f1],
+            "mean_f1": acc.mean_f1,
+            "per_class_f1": [float(v) for v in acc.per_class_f1],
             "loss": loss,
             "strategy": cfg.strategy,
         }
@@ -331,27 +331,19 @@ def train(
                 loss_sum += value * len(batch)
                 acc.update(trace.logits.data.argmax(axis=1), labels)
 
-            record(epoch, "train", acc.report(), loss_sum / max(1, len(train_frames)))
-            val_loss, val_report = evaluate(model, val_frames, cfg.batch_size, cfg.loss, classes)
-            record(epoch, "val", val_report, val_loss)
+            record(epoch, "train", acc, loss_sum / max(1, len(train_frames)))
+            val_loss, val_acc = evaluate(model, val_frames, cfg.batch_size, cfg.loss, classes)
+            record(epoch, "val", val_acc, val_loss)
             opt.lr = sched.step(val_loss)
 
-            if val_report.mean_f1 > best_f1:
-                best_f1 = val_report.mean_f1
+            if val_acc.mean_f1 > best_f1:
+                best_f1 = val_acc.mean_f1
                 best_epoch = epoch
                 checkpoint_save(model.state_arrays(), checkpoint_path)
 
         model.load_state(checkpoint_load(checkpoint_path))
-        test_loss, test_report = evaluate(model, test_frames, cfg.batch_size, cfg.loss, classes)
-        record(best_epoch, "test", test_report, test_loss)
+        test_loss, test_acc = evaluate(model, test_frames, cfg.batch_size, cfg.loss, classes)
+        record(best_epoch, "test", test_acc, test_loss)
 
-    return TrainResult(
-        history=history,
-        best_epoch=best_epoch,
-        best_val_f1=best_f1,
-        test_report=test_report,
-        test_loss=test_loss,
-        checkpoint_path=checkpoint_path,
-        metrics_path=metrics_path,
-    )
+    return TrainResult(history)
 

@@ -89,6 +89,22 @@ def test_datagen_single_class_is_config_error(tmp_path):
     assert code == 1
 
 
+def test_datagen_refuses_another_sets_sessions_in_out(tmp_path, capsys):
+    # load_recordings reads every CSV in a directory, so a leftover session
+    # would silently join the new set
+    out = tmp_path / "d"
+    args = ["datagen", "--out", str(out), "--set", "synthetic.session_len=800",
+            "--set", "data.window=16"]
+    assert main([*args, "--set", "synthetic.sessions=7"]) == 0
+    first = {f.name: f.read_bytes() for f in out.iterdir()}
+    capsys.readouterr()
+    assert main([*args, "--set", "synthetic.sessions=5"]) == 1
+    assert "session_05.csv, session_06.csv" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == first
+    assert main([*args, "--set", "synthetic.sessions=7"]) == 0
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == first
+
+
 def test_train_and_eval_round_trip(tmp_path, tiny_config, dataset, capsys):
     run_dir = tmp_path / "run"
     code = main([
@@ -115,6 +131,22 @@ def test_train_and_eval_round_trip(tmp_path, tiny_config, dataset, capsys):
     assert eval_f1 == pytest.approx(reported_f1, abs=5e-5)
     record = json.loads((run_dir / "eval_test.json").read_text())
     assert set(record) == {"split", "mean_f1", "per_class_f1", "loss"}
+
+
+def test_train_summary_reads_the_metrics_records(tmp_path, tiny_config, dataset, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", tiny_config, "--data", dataset, "--out", str(run_dir),
+                 "--set", "train.epochs=3"]) == 0
+    records = [json.loads(l) for l in (run_dir / "metrics.jsonl").read_text().splitlines()]
+    test = records[-1]
+    assert test["split"] == "test"
+    vals = [r for r in records if r["split"] == "val"]
+    best = vals[test["epoch"]]
+    assert best["mean_f1"] == max(r["mean_f1"] for r in vals)
+    assert capsys.readouterr().out == (
+        f"best epoch {test['epoch']} (val mean F1 {best['mean_f1']:.4f}); "
+        f"test mean F1 {test['mean_f1']:.4f}\n"
+    )
 
 
 def test_eval_twice_is_identical(tmp_path, tiny_config, dataset, capsys):
@@ -649,6 +681,20 @@ def test_each_error_class_exits_with_its_code(monkeypatch, capsys):
         assert f"error: injected {cls.__name__}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, setting",
+    [("datagen", "synthetic.session_len=1000000000000000"),  # 21.3 PiB of samples
+     ("train", "model.experts=1000000000000")],  # 931 TiB of gate weights at d_model 128
+)
+def test_out_of_memory_exit_1(tmp_path, dataset, capsys, command, setting):
+    # each request exceeds the 128 TiB user address space, so it fails at
+    # once even where memory is overcommitted
+    data = ["--data", dataset] if command == "train" else []
+    code = main([command, *data, "--out", str(tmp_path / "out"), "--set", setting])
+    assert code == 1
+    assert "error: out of memory: Unable to allocate" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exit_3(tmp_path, tiny_config, dataset, capsys):
     code = main(["train", "--config", tiny_config, "--data", dataset,
@@ -930,6 +976,31 @@ def test_ablate_context_by_strategy_grid_trains_every_point(tmp_path, tiny_confi
         assert resolved["train"]["strategy"] == strategy
 
 
+def test_ablate_absent_grid_flags_take_the_train_config(tmp_path, tiny_config, dataset):
+    out = tmp_path / "abl"
+    args = ["ablate", "--config", tiny_config, "--data", dataset, "--cells", "full",
+            "--set", "train.epochs=1", "--set", "train.strategy=shuffled",
+            "--set", "train.batch_size=16", "--set", "train.seed=3"]
+    assert main([*args, "--out", str(out)]) == 0
+    run_dir = out / "full_shuffled_b16_s3"
+    resolved = RunConfig.load(run_dir / "run_config.ini", {}).sections["train"]
+    assert (resolved["strategy"], resolved["batch_size"], resolved["seed"]) == ("shuffled", "16", "3")
+    with open(out / "ablation.csv") as fh:
+        assert [r["seeds"] for r in csv.DictReader(fh)] == ["3"]
+
+    # a run's config repeats its grid point
+    again = tmp_path / "again"
+    assert main(["ablate", "--config", str(run_dir / "run_config.ini"), "--data", dataset,
+                 "--cells", "full", "--out", str(again)]) == 0
+    for name in ("metrics.jsonl", "checkpoint.bin"):
+        assert (again / run_dir.name / name).read_bytes() == (run_dir / name).read_bytes()
+
+    # a given flag wins
+    assert main([*args, "--out", str(out), "--strategies", "time_sequential",
+                 "--batch-sizes", "8", "--seeds", "4"]) == 0
+    assert (out / "full_time_sequential_b8_s4" / "metrics.jsonl").is_file()
+
+
 def test_component_cells_override_only_model_and_loss():
     # the grid owns [train]'s strategy and batch size, and one data load serves every cell
     for cell, overrides in COMPONENT_CELLS.items():
@@ -947,7 +1018,8 @@ def test_ablate_unknown_cell_exit_1(tmp_path, tiny_config, dataset):
 @pytest.mark.parametrize(
     "setting, message",
     [("train.lr=-1", "lr must be > 0, got -1.0"),
-     ("model.heads=3", "d_model (8) must be divisible by heads (3)")],
+     ("model.heads=3", "d_model (8) must be divisible by heads (3)"),
+     ("train.batch_size=x", "[train] batch_size must be an integer, got 'x'")],
 )
 def test_ablate_config_error_exit_1_without_csv(tmp_path, tiny_config, dataset, capsys,
                                                 setting, message):

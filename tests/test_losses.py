@@ -45,10 +45,10 @@ def brute_force_mean_f1(predictions, labels, classes):
 
 
 def report_of(predictions, labels, classes):
-    """The report of one MetricsAccumulator update."""
+    """A MetricsAccumulator after one update."""
     acc = MetricsAccumulator(classes)
     acc.update(predictions, labels)
-    return acc.report()
+    return acc
 
 
 def test_cross_entropy_uniform_logits():
@@ -208,6 +208,18 @@ def test_mean_f1_worked_example():
 def test_mean_f1_no_true_positives():
     report = report_of(np.zeros(4, dtype=int), np.ones(4, dtype=int), 2)
     assert report.mean_f1 == 0.0
+
+
+def test_f1_reads_the_live_counts():
+    rng = np.random.default_rng(5)
+    preds = rng.integers(0, 3, size=(2, 20))
+    labels = rng.integers(0, 3, size=(2, 20))
+    acc = report_of(preds[0], labels[0], 3)
+    acc.per_class_f1, acc.mean_f1  # read before the second update
+    acc.update(preds[1], labels[1])
+    both = report_of(preds.ravel(), labels.ravel(), 3)
+    assert acc.per_class_f1.tobytes() == both.per_class_f1.tobytes()
+    assert acc.mean_f1 == both.mean_f1
 
 
 def test_mean_f1_matches_brute_force_on_random_instances():

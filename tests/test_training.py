@@ -372,9 +372,8 @@ def model_config(**kw):
 
 def test_train_emits_one_record_per_epoch_per_split(tmp_path):
     splits = small_splits()
-    result = train(model_config(), splits.train, splits.val, splits.test,
-                   train_config(), tmp_path)
-    records = [json.loads(line) for line in result.metrics_path.read_text().splitlines()]
+    train(model_config(), splits.train, splits.val, splits.test, train_config(), tmp_path)
+    records = [json.loads(line) for line in (tmp_path / "metrics.jsonl").read_text().splitlines()]
     assert sum(r["split"] == "train" for r in records) == 2
     assert sum(r["split"] == "val" for r in records) == 2
     assert sum(r["split"] == "test" for r in records) == 1
@@ -384,12 +383,11 @@ def test_train_emits_one_record_per_epoch_per_split(tmp_path):
 
 def test_train_fixed_seed_reproduces_metrics_bytes(tmp_path):
     splits = small_splits()
-    r1 = train(model_config(), splits.train, splits.val, splits.test,
-               train_config(), tmp_path / "a")
-    r2 = train(model_config(), splits.train, splits.val, splits.test,
-               train_config(), tmp_path / "b")
-    assert r1.metrics_path.read_bytes() == r2.metrics_path.read_bytes()
-    assert r1.checkpoint_path.read_bytes() == r2.checkpoint_path.read_bytes()
+    for run in ("a", "b"):
+        train(model_config(), splits.train, splits.val, splits.test,
+              train_config(), tmp_path / run)
+    for name in ("metrics.jsonl", "checkpoint.bin"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_train_loss_decreases_over_first_epochs(tmp_path):
@@ -493,7 +491,9 @@ def test_train_checkpoint_reproduces_reported_test_f1(tmp_path):
     mc = model_config()
     result = train(mc, splits.train, splits.val, splits.test, cfg, tmp_path)
     m = AttentionModel(mc, seed=cfg.seed)
-    m.load_state(checkpoint_load(result.checkpoint_path))
-    loss, report = evaluate(m, splits.test, cfg.batch_size, cfg.loss, splits.classes)
-    assert report.mean_f1 == result.test_report.mean_f1
-    assert loss == result.test_loss
+    m.load_state(checkpoint_load(tmp_path / "checkpoint.bin"))
+    loss, acc = evaluate(m, splits.test, cfg.batch_size, cfg.loss, splits.classes)
+    test = result.history[-1]
+    assert test["split"] == "test"
+    assert acc.mean_f1 == test["mean_f1"]
+    assert loss == test["loss"]
