@@ -289,6 +289,8 @@ def _train_run(run: RunConfig, train_cfg: TrainConfig, model_cfg: ModelConfig,
             f"the labels span [0, {splits.classes - 1}]: training needs 2 or more classes"
         )
     model_cfg = replace(model_cfg, channels=splits.stats.mean.size, classes=splits.classes)
+    # built and dropped, so a model too large to build leaves no run files
+    AttentionModel(model_cfg, seed=train_cfg.seed)
     run.write_resolved(out)
     _write_normalizer(splits.stats, out)
     return train(
@@ -395,8 +397,9 @@ def ablate(run: RunConfig, data_dir: str, cells: list[str], strategies: list[str
     every point's configs are built and run directories checked for every
     seed.  Each seed's run directory is
     ``out/<cell>_<strategy>_b<batch size>_s<seed>``.  A seed whose
-    training diverges ends its point, whose row then says why; any other
-    error is not the seed's and ends the grid.
+    training diverges ends its point, whose row then names that seed and
+    says why, and lists the seeds that finished but no mean or spread; any
+    other error is not the seed's and ends the grid.
     """
     split_args = run.split_args()
     points = []
@@ -422,27 +425,27 @@ def ablate(run: RunConfig, data_dir: str, cells: list[str], strategies: list[str
                 result = _train_run(seed_run, train_cfg, model_cfg, splits, cell_out)
                 scores.append(result.history[-1]["mean_f1"])
             except NumericError as e:
-                status, message = "failed", str(e)
+                status, message = "failed", f"seed {seed}: {e}"
                 print(f"cell {cell}/{strategy}/b{bs} seed {seed} failed: {e}", file=sys.stderr)
                 break
-        f1_mean = statistics.mean(scores) if scores else float("nan")
-        f1_std = statistics.pstdev(scores) if len(scores) > 1 else 0.0
-        rows.append(
-            {
-                "cell": cell,
-                "strategy": strategy,
-                "batch_size": bs,
-                "disable": COMPONENT_CELLS[cell]["model"]["disable"],
-                "seeds": ";".join(str(s) for s in seeds),
-                "status": status,
-                "f1_mean": f"{f1_mean:.6f}" if scores else "",
-                "f1_std": f"{f1_std:.6f}" if scores else "",
-                "f1_per_seed": ";".join(f"{s:.6f}" for s in scores),
-                "message": message,
-            }
-        )
+        row = {
+            "cell": cell,
+            "strategy": strategy,
+            "batch_size": bs,
+            "disable": COMPONENT_CELLS[cell]["model"]["disable"],
+            "seeds": ";".join(str(s) for s in seeds),
+            "status": status,
+            "f1_mean": "",
+            "f1_std": "",
+            "f1_per_seed": ";".join(f"{s:.6f}" for s in scores),
+            "message": message,
+        }
+        # a failed point has no mean or spread: not every seed finished
         if status == "ok":
+            f1_mean, f1_std = statistics.mean(scores), statistics.pstdev(scores)
+            row.update(f1_mean=f"{f1_mean:.6f}", f1_std=f"{f1_std:.6f}")
             print(f"cell {cell}/{strategy}/b{bs}: mean F1 {f1_mean:.4f} +- {f1_std:.4f}")
+        rows.append(row)
     return rows
 
 

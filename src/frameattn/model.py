@@ -376,21 +376,6 @@ class AttentionModel:
         )
 
 
-# Gradient verification: block names are keyed on parameter prefixes so a
-# failing backward rule is reported against the stage that uses it.
-GRADCHECK_BLOCKS = (
-    ("backbone", "backbone."),
-    ("intra-attention", "intra."),
-    ("inter-attention", "inter."),
-    ("attention-blend", "blend."),
-    ("feature-fusion", "cat."),
-    ("multi-head", "mh."),
-    ("gate", "gate."),
-    ("moe", "moe."),
-    ("classifier", "cls."),
-)
-
-
 def tiny_gradcheck_config() -> ModelConfig:
     """Small model used by the gradient-check command and its tests."""
     return ModelConfig(
@@ -411,12 +396,15 @@ def parameter_gradcheck_report(
     loss_cfg: LossConfig,
     seed: int = 0,
 ) -> list[tuple[str, float]]:
-    """Max relative error between analytic and central-difference gradients,
-    one row per stage plus the composed model and the loss head, on a batch
-    of 4 random frames.
+    """Max relative error between analytic and central-difference gradients
+    on a batch of 4 random frames: one row per stage, then the loss head.
 
-    The analytic side is a single backward pass through forward+loss; the
-    numeric side perturbs every parameter entry by +-``T.FD_EPS``.
+    A stage's row is the worst error over the parameters named under it,
+    the first dotted part of each name (``backbone``, ``intra``, ...,
+    ``cls``), in parameter order, so every parameter is in exactly one row
+    and no composed row is needed.  The analytic side is a single backward
+    pass through forward+loss; the numeric side perturbs every parameter
+    entry by +-``T.FD_EPS``.
     """
     batch = 4
     rng = np.random.default_rng(mix64(seed, TAG_GRADCHECK))
@@ -430,21 +418,13 @@ def parameter_gradcheck_report(
 
     T.backward(loss_value())
 
-    worst: dict[str, float] = {name: 0.0 for name, _ in GRADCHECK_BLOCKS}
-    composed = 0.0
+    worst: dict[str, float] = {}
     for name, p in model.params.items():
         err = T.gradient_error(lambda: loss_value().item(), p.data, p.grad)
-        composed = max(composed, err)
-        for block, prefix in GRADCHECK_BLOCKS:
-            if name.startswith(prefix):
-                worst[block] = max(worst[block], err)
-                break
-
-    rows = [(block, worst[block]) for block, _ in GRADCHECK_BLOCKS]
+        stage = name.split(".")[0]
+        worst[stage] = max(worst.get(stage, 0.0), err)
 
     # The loss head checked in isolation, against its own input logits.
     logits0 = Tensor(rng.normal(size=(batch, cfg.classes)))
     loss_err = T.gradcheck(lambda t: combined_loss(t, labels, loss_cfg), logits0)
-    rows.append(("loss", loss_err))
-    rows.append(("composed-model", composed))
-    return rows
+    return [*worst.items(), ("loss", loss_err)]

@@ -179,6 +179,23 @@ def test_train_missing_data_dir_exit_2(tmp_path, tiny_config):
 
 
 @pytest.mark.parametrize(
+    "files, message",
+    [({"manifest.json": "{}"}, "no .csv session files in"),
+     ({"session_00.csv": ""}, "empty session file:")],
+    ids=["no-csv", "zero-byte-session"],
+)
+def test_train_unreadable_data_dir_exit_2(tmp_path, tiny_config, capsys, files, message):
+    data_dir = tmp_path / "sessions"
+    data_dir.mkdir()
+    for name, text in files.items():
+        (data_dir / name).write_text(text)
+    code = main(["train", "--config", tiny_config, "--data", str(data_dir),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command, setting, message",
     [
         ("train", "train.lr=-1", "lr must be > 0, got -1.0"),
@@ -693,6 +710,8 @@ def test_out_of_memory_exit_1(tmp_path, dataset, capsys, command, setting):
     code = main([command, *data, "--out", str(tmp_path / "out"), "--set", setting])
     assert code == 1
     assert "error: out of memory: Unable to allocate" in capsys.readouterr().err
+    # the model is built before any run file is written
+    assert not list((tmp_path / "out").glob("*"))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -734,14 +753,30 @@ def write_run_dir(run_dir, normalizer: str, checkpoint: bytes = b"", config=None
         '{"mean": [0, 0, 0], "std": [1, 0, 1]}',
         '{"mean": [0, 0, 0], "std": [1, -1, 1]}',
         '{"mean": [0, NaN, 0], "std": [1, 1, 1]}',
+        '{"mean": [0, 0, 0], "std": [1, 1]}',
     ],
-    ids=["bad-json", "missing-std", "ragged-mean", "zero-std", "negative-std", "nan-mean"],
+    ids=["bad-json", "missing-std", "ragged-mean", "zero-std", "negative-std", "nan-mean",
+         "std-shorter-than-mean"],
 )
 def test_eval_malformed_normalizer_exit_2(tmp_path, tiny_config, dataset, capsys, normalizer):
     checkpoint = write_run_dir(tmp_path / "run", normalizer, config=tiny_config)
     code = main(["eval", "--checkpoint", checkpoint, "--data", dataset])
     assert code == 2
     assert "normalizer.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "missing, code, message",
+    [("checkpoint.bin", 1, "checkpoint not found"),
+     ("normalizer.json", 2, "normalizer stats not found")],
+)
+def test_eval_run_directory_without_a_run_file(tmp_path, tiny_config, dataset, capsys, missing,
+                                               code, message):
+    checkpoint = write_run_dir(tmp_path / "run", '{"mean": [0, 0, 0], "std": [1, 1, 1]}',
+                               config=tiny_config)
+    (tmp_path / "run" / missing).unlink()
+    assert main(["eval", "--checkpoint", checkpoint, "--data", dataset]) == code
+    assert f"{message}: {tmp_path / 'run' / missing}" in capsys.readouterr().err
 
 
 def test_train_session_with_fewer_channels_exit_2(tmp_path, tiny_config, dataset, capsys):
@@ -874,9 +909,10 @@ def test_eval_set_override_applies_to_run_config(tmp_path, tiny_config, dataset,
 def test_gradcheck_command_passes(capsys):
     assert main(["gradcheck", "--set", "train.seed=0"]) == 0
     out = capsys.readouterr().out
-    for block in ("backbone", "intra", "inter", "blend", "fusion", "multi-head",
-                  "gate", "moe", "classifier", "loss", "composed"):
+    for block in ("backbone", "intra", "inter", "blend", "cat", "mh",
+                  "gate", "moe", "cls", "loss"):
         assert block in out
+    assert "composed" not in out
     assert "passed" in out
     assert main(["gradcheck", "--set", "train.seed=x"]) == 1
     assert "[train] seed must be an integer, got 'x'" in capsys.readouterr().err
@@ -897,7 +933,7 @@ def test_gradcheck_fault_injection_names_offending_block(capsys, monkeypatch, sc
     # corrupting a stage node's backward breaks the stage that uses it (the
     # conv blocks after the first take the Winograd path); the fault must be
     # large because the report's relative error floors its denominator at 1
-    for op, block in (("attention_pool", "intra-attention"), ("conv1d_relu", "backbone")):
+    for op, block in (("attention_pool", "intra"), ("conv1d_relu", "backbone")):
         scale_backward(op, 1000.0)
         code = main(["gradcheck"])
         monkeypatch.undo()
@@ -999,6 +1035,42 @@ def test_ablate_absent_grid_flags_take_the_train_config(tmp_path, tiny_config, d
     assert main([*args, "--out", str(out), "--strategies", "time_sequential",
                  "--batch-sizes", "8", "--seeds", "4"]) == 0
     assert (out / "full_time_sequential_b8_s4" / "metrics.jsonl").is_file()
+
+
+def test_ablate_failed_point_has_no_mean_and_names_its_seed(tmp_path, tiny_config, dataset,
+                                                            monkeypatch, capsys):
+    real_train = cli.train
+
+    def train(model_cfg, train_frames, val_frames, test_frames, cfg, out_dir, **kw):
+        if Path(out_dir).name == "full_time_sequential_b16_s1":
+            raise errors.NumericError("non-finite training loss at epoch 0, batch 3, lr 0.001")
+        return real_train(model_cfg, train_frames, val_frames, test_frames, cfg, out_dir, **kw)
+
+    monkeypatch.setattr(cli, "train", train)
+    out = tmp_path / "abl"
+    assert main(["ablate", "--config", tiny_config, "--data", dataset, "--out", str(out),
+                 "--cells", "both,full", "--batch-sizes", "16", "--seeds", "0,1,2",
+                 "--set", "train.epochs=1"]) == 0
+    assert "cell full/time_sequential/b16 seed 1 failed" in capsys.readouterr().err
+    with open(out / "ablation.csv") as fh:
+        both, full = csv.DictReader(fh)
+
+    def score(cell, seed):
+        records = (out / f"{cell}_time_sequential_b16_s{seed}" / "metrics.jsonl").read_text()
+        return json.loads(records.splitlines()[-1])["mean_f1"]
+
+    # a finished point: every seed's score, their mean and spread
+    scores = [score("both", seed) for seed in (0, 1, 2)]
+    assert both["status"] == "ok" and both["message"] == ""
+    assert both["f1_per_seed"] == ";".join(f"{s:.6f}" for s in scores)
+    assert both["f1_mean"] == f"{np.mean(scores):.6f}"
+    assert both["f1_std"] == f"{np.std(scores):.6f}"
+    # a failed point: the seeds that finished, no mean or spread, the seed that failed
+    assert full["status"] == "failed"
+    assert (full["f1_mean"], full["f1_std"]) == ("", "")
+    assert full["f1_per_seed"] == f"{score('full', 0):.6f}"
+    assert full["message"] == "seed 1: non-finite training loss at epoch 0, batch 3, lr 0.001"
+    assert not (out / "full_time_sequential_b16_s2").exists()
 
 
 def test_component_cells_override_only_model_and_loss():

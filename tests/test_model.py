@@ -8,6 +8,7 @@ from frameattn.cli import COMPONENT_CELLS
 from frameattn.errors import ConfigError, FrameAttnError
 from frameattn.losses import LossConfig, combined_loss
 from frameattn.model import (
+    DISABLEABLE,
     AttentionModel,
     ModelConfig,
     apply_gate,
@@ -119,8 +120,12 @@ def test_config_rejects_no_channels():
 
 
 def test_forward_rejects_wrong_channel_count(model):
-    with pytest.raises(ConfigError):
-        model.forward(np.zeros((2, 16, 5)))
+    # and the other frame shapes the model cannot read
+    for shape, message in [((2, 16, 5), "expected 3 channels, got 5"),
+                           ((2, 16), r"frames must be \(B, T, D\), got shape \(2, 16\)"),
+                           ((2, 2, 3), "window of 2 samples is shorter than kernel 3")]:
+        with pytest.raises(ConfigError, match=message):
+            model.forward(np.zeros(shape))
 
 
 # backbone
@@ -459,11 +464,24 @@ def test_disabled_stages_pass_operands_through():
 
 
 def test_gradcheck_through_whole_tiny_model():
-    # composed-model row of the gradient report, at the documented tolerance
+    # every row of the gradient report, at the documented tolerance
     rows = dict(parameter_gradcheck_report(tiny_gradcheck_config(), LossConfig(lam=0.5), seed=0))
-    assert rows["composed-model"] < 1e-4
     for name, err in rows.items():
         assert err < 1e-4, name
+
+
+def test_gradcheck_rows_are_the_parameter_stages():
+    # one row per first dotted part of a parameter name, in parameter order,
+    # so every parameter is in exactly one row; then the loss head
+    cfg = tiny_gradcheck_config()
+    rows = [name for name, _ in parameter_gradcheck_report(cfg, LossConfig(lam=0.5), seed=0)]
+    stages = [name.split(".")[0] for name in AttentionModel(cfg).params]
+    assert rows == [*dict.fromkeys(stages), "loss"]
+    assert rows == ["backbone", "intra", "inter", "blend", "cat", "mh", "gate", "moe", "cls",
+                    "loss"]
+    # the stages a model config can switch off are named alike, but for pe,
+    # which has no parameters
+    assert DISABLEABLE - {"pe"} <= set(rows)
 
 
 def test_gradcheck_through_backbone_input():
