@@ -5,9 +5,12 @@ INI config file (``--config``; ``key = value`` under
 [model]/[data]/[synthetic]/[train]/[loss] sections), then
 ``--set section.key=value``; no other flag names a config key.  The seeds are
 keys too: ``train.seed`` and ``synthetic.seed``.  The defaults are the field
-defaults of ``ModelConfig``, ``SynthConfig``, ``TrainConfig`` and
-``LossConfig``; only the [data] section and ``model.disable`` are listed
-here.  Every failure, a malformed command line included, is a
+defaults of ``WindowSpec`` ([data]), ``ModelConfig``, ``SynthConfig``,
+``TrainConfig`` and ``LossConfig``; only ``model.disable`` is listed here.
+A ``RunConfig`` builds, and so checks, [data], [train] with its [loss], and
+[model] when it is made, so every command checks them before it reads any
+data or writes any file; ``datagen`` also builds [synthetic], which no
+other command reads.  Every failure, a malformed command line included, is a
 ``FrameAttnError`` and exits with its class's ``exit_code`` (see
 ``errors.py``); running out of memory prints ``error: out of memory: ...``
 and exits 1.
@@ -21,11 +24,10 @@ writes one run directory and ``ablate`` one per grid point and seed.  An
 ablation cell overrides only [model] and [loss] (``COMPONENT_CELLS``); the
 grid point sets the strategy, batch size and seed.  A grid flag that is
 absent takes the one resolved [train] value, so ``ablate --config
-<run>/run_config.ini`` repeats that run's grid point.  Every [data] value and
-every config a command uses is built, and so checked, before any data is
-read.  ``train`` takes the model's channel and class counts from the data;
-``eval`` takes them from the run: the normalizer's width and the
-checkpoint's classes (the width of its ``cls.b`` record).
+<run>/run_config.ini`` repeats that run's grid point.  ``train`` takes the
+model's channel and class counts from the data; ``eval`` takes them from the
+run: the normalizer's width and the checkpoint's classes (the width of its
+``cls.b`` record).
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .data import (
     NormStats,
     SynthConfig,
     WindowSpec,
-    check_split_sizes,
     generate_synthetic,
     load_recordings,
     prepare_splits,
@@ -67,26 +68,20 @@ from .training import TrainConfig, TrainResult, checkpoint_load, evaluate, train
 GRADCHECK_TOLERANCE = 1e-4
 
 
-def _field_defaults(cls) -> dict[str, str]:
-    # Fields without a plain default come from the data or another section;
-    # the synthetic window comes from [data].
+def _field_defaults(cls, derived: tuple[str, ...] = ()) -> dict[str, str]:
+    # Fields without a plain default come from the data or another section
     return {
         f.name: str(f.default)
         for f in fields(cls)
-        if f.default is not MISSING and f.name != "window"
+        if f.default is not MISSING and f.name not in derived
     }
 
 
 DEFAULTS = {
     "model": {**_field_defaults(ModelConfig), "disable": ""},
-    "data": {
-        "window": "24",
-        "step": "12",
-        "label_rule": "majority",
-        "val_sessions": "1",
-        "test_sessions": "1",
-    },
-    "synthetic": _field_defaults(SynthConfig),
+    "data": _field_defaults(WindowSpec),
+    # the synthetic window is the [data] window
+    "synthetic": _field_defaults(SynthConfig, derived=("window",)),
     "train": _field_defaults(TrainConfig),
     "loss": _field_defaults(LossConfig),
 }
@@ -164,10 +159,30 @@ def _merge(sections: dict[str, dict[str, str]], given: dict, source: str) -> Non
 
 
 class RunConfig:
-    """Resolved configuration: defaults <- config file <- ``--set`` overrides."""
+    """Resolved configuration: defaults <- config file <- ``--set`` overrides.
+
+    Made from its sections, it builds, and so checks, [data] as ``data``,
+    [train] with its [loss] as ``train`` and [model] at the [data] window as
+    ``model``, in that order; a RunConfig that exists holds valid configs.
+    ``model``'s ``channels`` and ``classes`` are placeholders: ``train``
+    takes them from the data, ``eval`` from the run (the normalizer's width
+    and the checkpoint's classes).  [synthetic] is built by ``datagen``
+    alone: its checks tie it to the window, and no other command reads it.
+    """
 
     def __init__(self, sections: dict[str, dict[str, str]]):
         self.sections = sections
+        self.data = self.build(WindowSpec, "data")
+        self.train = self.build(TrainConfig, "train", loss=self.build(LossConfig, "loss"))
+        self.model = self.build(
+            ModelConfig,
+            "model",
+            window_len=self.data.window,
+            channels=1,
+            classes=2,
+            disabled=frozenset(v.strip() for v in sections["model"]["disable"].split(",")
+                               if v.strip()),
+        )
 
     @classmethod
     def load(cls, config_path: str | Path | None, overrides: dict[str, dict[str, str]]):
@@ -177,44 +192,20 @@ class RunConfig:
         _merge(sections, overrides, "the command line")
         return cls(sections)
 
-    def value(self, section: str, key: str, kind: str):
-        raw = self.sections[section][key]
-        parse, expected = _PARSERS[kind]
-        try:
-            return parse(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be {expected}, got '{raw}'") from None
-
     def build(self, cls, section: str, **given):
         """``cls(**given)``, with every other field parsed by its annotation
         from the same-named key of ``[section]``."""
         for f in fields(cls):
             if f.name not in given:
-                given[f.name] = self.value(section, f.name, f.type)
+                raw = self.sections[section][f.name]
+                parse, expected = _PARSERS[f.type]
+                try:
+                    given[f.name] = parse(raw)
+                except ValueError:
+                    raise ConfigError(
+                        f"[{section}] {f.name} must be {expected}, got '{raw}'"
+                    ) from None
         return cls(**given)
-
-    def train_config(self) -> TrainConfig:
-        return self.build(TrainConfig, "train", loss=self.build(LossConfig, "loss"))
-
-    def model_config(self) -> ModelConfig:
-        """[model] at the [data] window.  ``channels`` and ``classes`` are
-        placeholders: ``train`` takes them from the data, ``eval`` from the
-        run (the normalizer's width and the checkpoint's classes)."""
-        return self.build(
-            ModelConfig,
-            "model",
-            window_len=self.value("data", "window", "int"),
-            channels=1,
-            classes=2,
-            disabled=frozenset(v.strip() for v in self.sections["model"]["disable"].split(",")
-                               if v.strip()),
-        )
-
-    def split_args(self) -> dict:
-        """``prepare_splits``'s [data] arguments."""
-        sizes = {k: self.value("data", k, "int") for k in ("val_sessions", "test_sessions")}
-        check_split_sizes(**sizes)
-        return {"spec": self.build(WindowSpec, "data"), **sizes}
 
     def write_resolved(self, out_dir: Path) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -269,7 +260,7 @@ def _out_dir(path: str | Path) -> Path:
 
 def cmd_datagen(args: argparse.Namespace) -> int:
     run = RunConfig.load(args.config, _overrides_from_args(args))
-    cfg = run.build(SynthConfig, "synthetic", window=run.value("data", "window", "int"))
+    cfg = run.build(SynthConfig, "synthetic", window=run.data.window)
     out = _out_dir(args.out)
     recordings = generate_synthetic(cfg)
     sessions = [r.session_id for r in recordings]
@@ -279,31 +270,29 @@ def cmd_datagen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_run(run: RunConfig, train_cfg: TrainConfig, model_cfg: ModelConfig,
-               splits: DataSplits, out: Path, dump_plans=False) -> TrainResult:
-    """Train one run of ``run``'s configs into the run directory ``out``.
-    The model config is fitted to the data, and so checked, before any file
-    is written."""
+def _train_run(run: RunConfig, splits: DataSplits, out: Path, dump_plans=False) -> TrainResult:
+    """Train one run of ``run`` into the run directory ``out``.  The model
+    config is fitted to the data, and so checked, before any file is
+    written."""
     if splits.classes < 2:
         raise DataError(
             f"the labels span [0, {splits.classes - 1}]: training needs 2 or more classes"
         )
-    model_cfg = replace(model_cfg, channels=splits.stats.mean.size, classes=splits.classes)
+    model_cfg = replace(run.model, channels=splits.stats.mean.size, classes=splits.classes)
     # built and dropped, so a model too large to build leaves no run files
-    AttentionModel(model_cfg, seed=train_cfg.seed)
+    AttentionModel(model_cfg, seed=run.train.seed)
     run.write_resolved(out)
     _write_normalizer(splits.stats, out)
     return train(
-        model_cfg, splits.train, splits.val, splits.test, train_cfg, out, dump_plans=dump_plans
+        model_cfg, splits.train, splits.val, splits.test, run.train, out, dump_plans=dump_plans
     )
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     run = RunConfig.load(args.config, _overrides_from_args(args))
-    train_cfg, model_cfg, split_args = run.train_config(), run.model_config(), run.split_args()
     out = _out_dir(args.out)
-    splits = prepare_splits(load_recordings(args.data), **split_args)
-    history = _train_run(run, train_cfg, model_cfg, splits, out, args.dump_plan).history
+    splits = prepare_splits(load_recordings(args.data), run.data)
+    history = _train_run(run, splits, out, args.dump_plan).history
     test = history[-1]
     val = next(r for r in history if r["split"] == "val" and r["epoch"] == test["epoch"])
     print(
@@ -317,10 +306,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ckpt_path = Path(args.checkpoint)
     run_dir = ckpt_path.parent
     run = RunConfig.load(args.config or run_dir / "run_config.ini", _overrides_from_args(args))
-    train_cfg, model_cfg, split_args = run.train_config(), run.model_config(), run.split_args()
     out = _out_dir(args.out) if args.out else None
     stats = _read_normalizer(run_dir / "normalizer.json")
-    splits = prepare_splits(load_recordings(args.data), **split_args, stats=stats)
+    splits = prepare_splits(load_recordings(args.data), run.data, stats=stats)
 
     arrays = checkpoint_load(ckpt_path)
     bias = arrays.get("cls.b", np.empty(0))
@@ -331,11 +319,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise DataError(f"label {splits.classes - 1} in {args.data} is not one of the "
                         f"checkpoint's {classes} classes")
     # every parameter comes from the checkpoint, so the init seed is immaterial
-    model = AttentionModel(replace(model_cfg, channels=stats.mean.size, classes=classes))
+    model = AttentionModel(replace(run.model, channels=stats.mean.size, classes=classes))
     model.load_state(arrays)
 
     frames = {"train": splits.train, "val": splits.val, "test": splits.test}[args.split]
-    loss, acc = evaluate(model, frames, train_cfg.batch_size, train_cfg.loss, classes)
+    loss, acc = evaluate(model, frames, run.train.batch_size, run.train.loss, classes)
     f1 = acc.per_class_f1
     print(f"split {args.split}: mean F1 {acc.mean_f1:.6f}, loss {loss:.6f}")
     print("class  tp  fp  fn  f1")
@@ -355,9 +343,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     run = RunConfig.load(args.config, _overrides_from_args(args))
-    seed = run.train_config().seed  # both configs built, so checked, as in train
-    run.model_config()
-    rows = parameter_gradcheck_report(tiny_gradcheck_config(), LossConfig(lam=0.5), seed=seed)
+    rows = parameter_gradcheck_report(tiny_gradcheck_config(), LossConfig(lam=0.5),
+                                      seed=run.train.seed)
     print(f"{'block':18s} max-rel-error")
     for name, err in rows:
         print(f"{name:18s} {err:.3e}  {'ok' if err < GRADCHECK_TOLERANCE else 'FAIL'}")
@@ -394,14 +381,13 @@ def ablate(run: RunConfig, data_dir: str, cells: list[str], strategies: list[str
 
     A point merges its strategy, batch size and seed, then its cell's
     [model] and [loss] overrides, over ``run``.  The data is read once, after
-    every point's configs are built and run directories checked for every
+    every point's RunConfig is made and run directories checked for every
     seed.  Each seed's run directory is
     ``out/<cell>_<strategy>_b<batch size>_s<seed>``.  A seed whose
     training diverges ends its point, whose row then names that seed and
     says why, and lists the seeds that finished but no mean or spread; any
     other error is not the seed's and ends the grid.
     """
-    split_args = run.split_args()
     points = []
     for cell, strategy, bs in itertools.product(cells, strategies, batch_sizes):
         runs = []
@@ -410,19 +396,17 @@ def ablate(run: RunConfig, data_dir: str, cells: list[str], strategies: list[str
             grid = {"train": {"strategy": strategy, "batch_size": bs, "seed": seed}}
             _merge(sections, grid, "the ablation grid")
             _merge(sections, COMPONENT_CELLS[cell], f"ablation cell '{cell}'")
-            seed_run = RunConfig(sections)
-            cell_out = _out_dir(out / f"{cell}_{strategy}_b{bs}_s{seed}")
-            runs.append((seed_run, seed_run.train_config(), seed_run.model_config(), cell_out))
+            runs.append((RunConfig(sections), _out_dir(out / f"{cell}_{strategy}_b{bs}_s{seed}")))
         points.append((cell, strategy, bs, runs))
-    splits = prepare_splits(load_recordings(data_dir), **split_args)
+    splits = prepare_splits(load_recordings(data_dir), run.data)
 
     rows = []
     for cell, strategy, bs, runs in points:
         scores, status, message = [], "ok", ""
-        for seed_run, train_cfg, model_cfg, cell_out in runs:
-            seed = train_cfg.seed
+        for seed_run, cell_out in runs:
+            seed = seed_run.train.seed
             try:
-                result = _train_run(seed_run, train_cfg, model_cfg, splits, cell_out)
+                result = _train_run(seed_run, splits, cell_out)
                 scores.append(result.history[-1]["mean_f1"])
             except NumericError as e:
                 status, message = "failed", f"seed {seed}: {e}"
@@ -457,10 +441,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"unknown ablation cell '{cell}' (expected one of {sorted(COMPONENT_CELLS)})"
             )
-    train_cfg = run.train_config()
-    strategies = _grid_list("--strategies", args.strategies, absent=train_cfg.strategy)
-    batch_sizes = _grid_list("--batch-sizes", args.batch_sizes, int, train_cfg.batch_size)
-    seeds = _grid_list("--seeds", args.seeds, int, train_cfg.seed)
+    strategies = _grid_list("--strategies", args.strategies, absent=run.train.strategy)
+    batch_sizes = _grid_list("--batch-sizes", args.batch_sizes, int, run.train.batch_size)
+    seeds = _grid_list("--seeds", args.seeds, int, run.train.seed)
     out = _out_dir(args.out)
     rows = ablate(run, args.data, cells, strategies, batch_sizes, seeds, out)
 

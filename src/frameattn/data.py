@@ -53,9 +53,15 @@ class Recording:
 
 @dataclass(frozen=True)
 class WindowSpec:
-    window: int
-    step: int
+    """How sessions become frames, and how many sessions validate and test:
+    the [data] section.  ``window`` samples per frame, one every ``step``;
+    a frame's label is its samples' ``majority`` label or its ``last``."""
+
+    window: int = 24
+    step: int = 12
     label_rule: str = "majority"
+    val_sessions: int = 1
+    test_sessions: int = 1
 
     def __post_init__(self):
         if not 1 <= self.step <= self.window:
@@ -64,6 +70,8 @@ class WindowSpec:
             )
         if self.label_rule not in ("majority", "last"):
             raise ConfigError(f"label_rule must be 'majority' or 'last', got '{self.label_rule}'")
+        if self.val_sessions < 1 or self.test_sessions < 1:
+            raise ConfigError("val_sessions and test_sessions must each be >= 1")
 
 
 @dataclass
@@ -251,28 +259,19 @@ def build_frames(recordings: list[Recording], spec: WindowSpec) -> list[Frame]:
     return frames
 
 
-def check_split_sizes(val_sessions: int, test_sessions: int) -> None:
-    if val_sessions < 1 or test_sessions < 1:
-        raise ConfigError("val_sessions and test_sessions must each be >= 1")
-
-
 def split_by_session(
-    recordings: list[Recording], val_sessions: int, test_sessions: int
+    recordings: list[Recording], spec: WindowSpec
 ) -> tuple[list[Recording], list[Recording], list[Recording]]:
     """Deterministic split: after sorting by session id, the last
-    ``test_sessions`` are test, the ones before are validation."""
-    check_split_sizes(val_sessions, test_sessions)
+    ``spec.test_sessions`` are test, the ``spec.val_sessions`` before them
+    validation."""
     ordered = sorted(recordings, key=lambda r: r.session_id)
-    if len(ordered) < val_sessions + test_sessions + 1:
-        raise DataError(
-            f"need more than {val_sessions + test_sessions} sessions, got {len(ordered)}"
-        )
-    n_train = len(ordered) - val_sessions - test_sessions
-    return (
-        ordered[:n_train],
-        ordered[n_train : n_train + val_sessions],
-        ordered[n_train + val_sessions :],
-    )
+    held_out = spec.val_sessions + spec.test_sessions
+    if len(ordered) < held_out + 1:
+        raise DataError(f"need more than {held_out} sessions, got {len(ordered)}")
+    val_start = len(ordered) - held_out
+    test_start = val_start + spec.val_sessions
+    return ordered[:val_start], ordered[val_start:test_start], ordered[test_start:]
 
 
 @dataclass
@@ -285,18 +284,15 @@ class DataSplits:
 
 
 def prepare_splits(
-    recordings: list[Recording],
-    spec: WindowSpec,
-    val_sessions: int = 1,
-    test_sessions: int = 1,
-    stats: NormStats | None = None,
+    recordings: list[Recording], spec: WindowSpec, stats: NormStats | None = None
 ) -> DataSplits:
-    """Split by session, normalize with training statistics, and window.
+    """Split by session (``split_by_session``: the spec's validation and
+    test session counts), normalize with training statistics, and window.
 
     Passing ``stats`` (e.g. loaded from a previous run) skips the fit, so an
     evaluation reproduces the exact training-time preprocessing.
     """
-    train_recs, val_recs, test_recs = split_by_session(recordings, val_sessions, test_sessions)
+    train_recs, val_recs, test_recs = split_by_session(recordings, spec)
     if stats is None:
         stats = fit_normalizer(train_recs)
     elif stats.mean.shape != train_recs[0].samples.shape[1:]:

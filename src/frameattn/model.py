@@ -404,7 +404,8 @@ def parameter_gradcheck_report(
     ``cls``), in parameter order, so every parameter is in exactly one row
     and no composed row is needed.  The analytic side is a single backward
     pass through forward+loss; the numeric side perturbs every parameter
-    entry by +-``T.FD_EPS``.
+    entry by +-``T.FD_EPS``, and again by a smaller step where that straddles
+    a ReLU kink (``T.gradient_error``'s ``kinks``).
     """
     batch = 4
     rng = np.random.default_rng(mix64(seed, TAG_GRADCHECK))
@@ -420,7 +421,7 @@ def parameter_gradcheck_report(
 
     worst: dict[str, float] = {}
     for name, p in model.params.items():
-        err = T.gradient_error(lambda: loss_value().item(), p.data, p.grad)
+        err = T.gradient_error(lambda: loss_value().item(), p.data, p.grad, kinks=True)
         stage = name.split(".")[0]
         worst[stage] = max(worst.get(stage, 0.0), err)
 

@@ -720,8 +720,11 @@ def backward(loss: Tensor) -> None:
             node.grad, node._rule, node._parents = None, _released, ()
 
 
-# Step of the central differences in ``gradient_error``.
+# Steps of the central differences in ``gradient_error``: the first, and its
+# retry where a kink lies within the first.
 FD_EPS = 1e-5
+KINK_EPS = 1e-7
+KINK_GAP = 1e-4
 
 
 def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
@@ -738,20 +741,33 @@ def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
     return gradient_error(lambda: f(probe).item(), probe.data, probe.grad)
 
 
-def gradient_error(f: Callable[[], float], data: Array, analytic: Array) -> float:
+def gradient_error(
+    f: Callable[[], float], data: Array, analytic: Array, kinks: bool = False
+) -> float:
     """Max over entries of |analytic - numeric| / max(1, |analytic|, |numeric|),
     ``numeric`` being the central difference of ``f()`` in each entry of
     ``data``: the entry is moved by +-FD_EPS in place, with graph recording
-    off, then restored."""
+    off, then restored.
+
+    A kink (a ReLU's, say) within the step puts the central difference off by
+    half the gap between the one-sided differences.  With ``kinks``, an entry
+    whose gap exceeds KINK_GAP (relative, as the error) is measured again at
+    KINK_EPS.  Off by default: a smooth ``f`` of large curvature has a gap
+    too, and the smaller step's rounding error can exceed a tight bound."""
     numeric = np.zeros_like(analytic)
     with no_grad():
+        centre = f()
         for i in np.ndindex(data.shape):
-            orig = data[i]
-            data[i] = orig + FD_EPS
-            plus = f()
-            data[i] = orig - FD_EPS
-            minus = f()
-            data[i] = orig
-            numeric[i] = (plus - minus) / (2.0 * FD_EPS)
+            for eps in (FD_EPS, KINK_EPS):
+                orig = data[i]
+                data[i] = orig + eps
+                plus = f()
+                data[i] = orig - eps
+                minus = f()
+                data[i] = orig
+                numeric[i] = (plus - minus) / (2.0 * eps)
+                gap = abs(plus - 2.0 * centre + minus) / eps
+                if not (kinks and gap > KINK_GAP * max(1.0, abs(numeric[i]))):
+                    break
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float((np.abs(analytic - numeric) / denom).max())

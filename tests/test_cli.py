@@ -206,7 +206,7 @@ def test_train_unreadable_data_dir_exit_2(tmp_path, tiny_config, capsys, files, 
         ("train", "train.min_lr=1", "min_lr (1.0) must be <= lr (0.001)"),
         *[
             (command, setting, message)
-            for command in ("train", "ablate", "eval")
+            for command in ("train", "ablate", "eval", "datagen", "gradcheck")
             for setting, message in (
                 ("model.heads=3", "d_model (128) must be divisible by heads (3)"),
                 ("data.step=0", "step must satisfy 1 <= step <= window, got step=0, window=24"),
@@ -217,14 +217,22 @@ def test_train_unreadable_data_dir_exit_2(tmp_path, tiny_config, capsys, files, 
 )
 def test_train_config_error_exit_1_before_reading_data(tmp_path, capsys, command, setting,
                                                        message):
-    # a missing data directory would exit 2, so exit 1 shows the config is checked first
+    # a missing data directory would exit 2, so exit 1 shows the config is
+    # checked first; datagen and gradcheck read no data, but check every
+    # section all the same, before writing or printing anything
     out = tmp_path / "out"
-    args = [command, "--data", "/nonexistent", "--out", str(out), "--set", setting]
+    args = [command, "--set", setting]
+    if command != "gradcheck":
+        args += ["--out", str(out)]
+    if command not in ("datagen", "gradcheck"):
+        args += ["--data", "/nonexistent"]
     if command == "eval":
         args += ["--checkpoint", write_run_dir(tmp_path / "run", '{"mean": [0], "std": [1]}')]
     code = main(args)
     assert code == 1
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -386,26 +394,81 @@ def test_ablate_flag_prefixes_are_usage_errors(capsys):
 
 def test_resolved_defaults_build_every_dataclass_as_its_defaults():
     run = RunConfig.load(None, {})
-    assert run.split_args() == {"spec": WindowSpec(window=24, step=12),
-                                "val_sessions": 1, "test_sessions": 1}
+    assert run.data == WindowSpec() == WindowSpec(window=24, step=12)
+    assert (run.data.val_sessions, run.data.test_sessions) == (1, 1)
     assert run.build(SynthConfig, "synthetic", window=24) == SynthConfig(window=24)
-    assert run.train_config() == TrainConfig()
-    model = replace(run.model_config(), channels=3, classes=4)
+    assert run.train == TrainConfig()
+    model = replace(run.model, channels=3, classes=4)
     assert model == ModelConfig(window_len=24, channels=3, classes=4)
+
+
+# the resolved defaults as a run directory's run_config.ini: section order,
+# key order and value spellings, [data]'s included, which WindowSpec's field
+# defaults make
+DEFAULT_RUN_CONFIG_INI = """\
+[model]
+d_model = 128
+heads = 8
+experts = 8
+dropout = 0.5
+conv_blocks = 3
+kernel = 5
+disable =\x20
+
+[data]
+window = 24
+step = 12
+label_rule = majority
+val_sessions = 1
+test_sessions = 1
+
+[synthetic]
+classes = 4
+channels = 3
+sessions = 6
+session_len = 6656
+mean_dwell_windows = 4.0
+context = True
+noise = 0.4
+seed = 0
+
+[train]
+epochs = 150
+batch_size = 128
+lr = 0.001
+weight_decay = 0.01
+plateau_patience = 10
+lr_factor = 0.5
+min_lr = 1e-06
+strategy = time_sequential
+seed = 0
+clip_norm = 0.0
+
+[loss]
+lam = 0.5
+beta = 0.25
+gamma = 2.0
+
+"""
+
+
+def test_default_run_config_ini_text_is_pinned(tmp_path):
+    RunConfig.load(None, {}).write_resolved(tmp_path)
+    assert (tmp_path / "run_config.ini").read_text() == DEFAULT_RUN_CONFIG_INI
 
 
 def test_run_config_ini_reloads_with_its_seeds_and_old_spellings(tmp_path):
     run = RunConfig.load(None, {"train": {"seed": "4"}, "synthetic": {"seed": "7"}})
     run.write_resolved(tmp_path / "new")
-    old = RunConfig({s: dict(v) for s, v in run.sections.items()})
-    old.sections["train"].update(lr="1e-3", weight_decay="1e-2", min_lr="1e-6", clip_norm="0")
-    old.sections["synthetic"]["context"] = "true"
-    old.write_resolved(tmp_path / "old")
+    old = {s: dict(v) for s, v in run.sections.items()}
+    old["train"].update(lr="1e-3", weight_decay="1e-2", min_lr="1e-6", clip_norm="0")
+    old["synthetic"]["context"] = "true"
+    RunConfig(old).write_resolved(tmp_path / "old")
     assert RunConfig.load(tmp_path / "new/run_config.ini", {}).sections == run.sections
     for path in (tmp_path / "new/run_config.ini", tmp_path / "old/run_config.ini"):
         loaded = RunConfig.load(path, {})
-        assert loaded.train_config() == run.train_config()
-        assert loaded.train_config().seed == 4
+        assert loaded.train == run.train
+        assert loaded.train.seed == 4
         synth = loaded.build(SynthConfig, "synthetic", window=24)
         assert synth == run.build(SynthConfig, "synthetic", window=24)
         assert synth.seed == 7
@@ -414,8 +477,8 @@ def test_run_config_ini_reloads_with_its_seeds_and_old_spellings(tmp_path):
 def test_set_seed_beats_the_config_file_seed(tmp_path):
     path = tmp_path / "seeds.ini"
     path.write_text("[train]\nseed = 1\n\n[synthetic]\nseed = 1\n")
-    assert RunConfig.load(path, {}).train_config().seed == 1
-    assert RunConfig.load(path, {"train": {"seed": "2"}}).train_config().seed == 2
+    assert RunConfig.load(path, {}).train.seed == 1
+    assert RunConfig.load(path, {"train": {"seed": "2"}}).train.seed == 2
     out = tmp_path / "d"
     assert main(["datagen", "--config", str(path), "--out", str(out), "--set", "synthetic.seed=2",
                  "--set", "synthetic.session_len=800", "--set", "data.window=16"]) == 0
@@ -503,7 +566,14 @@ def test_config_errors_exit_1_naming_section_and_key(tmp_path, capsys, config, e
         ("ablate", "train.epochs=abc", "[train] epochs must be an integer, got 'abc'"),
         ("datagen", "synthetic.channels=0", "channels must be >= 1, got 0"),
         ("datagen", "synthetic.sessions=0", "sessions must be >= 1, got 0"),
-        ("datagen", "data.window=1", "window must be >= 2, got 1"),
+        # [data] and [model] are built before [synthetic], so its window
+        # check needs a step and a kernel that fit a 1-sample window
+        pytest.param("datagen", "data.window=1 data.step=1 model.kernel=1",
+                     "window must be >= 2, got 1",
+                     id="datagen-data.window=1-window must be >= 2, got 1"),
+        ("datagen", "data.window=1",
+         "step must satisfy 1 <= step <= window, got step=12, window=1"),
+        ("datagen", "data.window=4 data.step=4", "window_len (4) must be >= kernel (5)"),
         ("datagen", "synthetic.session_len=10", "session_len (10) too short for window 24"),
         ("datagen", "synthetic.noise=-1", "noise must be >= 0, got -1.0"),
         # non-finite floats; the first was a ValueError traceback
@@ -532,7 +602,7 @@ def test_bad_config_value_exit_1_with_its_message(
     tmp_path, tiny_config, request, capsys, command, setting, message
 ):
     out = tmp_path / "out"
-    args = [command, "--out", str(out), "--set", setting]
+    args = [command, "--out", str(out), *(a for item in setting.split() for a in ("--set", item))]
     if command != "datagen":
         args += ["--config", tiny_config, "--data", request.getfixturevalue("dataset")]
     assert main(args) == 1
@@ -591,9 +661,8 @@ def test_config_file_and_set_fuzz_load_or_config_error(tmp_path_factory, text, s
     path.write_text(text, encoding="utf-8")
     try:
         run = RunConfig.load(path, cli._overrides_from_args(argparse.Namespace(set=set_items)))
-        train_cfg = run.train_config()
-        configs = [train_cfg, train_cfg.loss, run.model_config(), run.split_args()["spec"],
-                   run.build(SynthConfig, "synthetic", window=run.value("data", "window", "int"))]
+        configs = [run.train, run.train.loss, run.model, run.data,
+                   run.build(SynthConfig, "synthetic", window=run.data.window)]
     except errors.FrameAttnError:
         return
     for cfg in configs:
@@ -735,10 +804,9 @@ def test_train_sessions_shorter_than_window_exit_2(tmp_path, tiny_config, capsys
     assert "the train split has no frames" in capsys.readouterr().err
 
 
-def write_run_dir(run_dir, normalizer: str, checkpoint: bytes = b"", config=None,
-                  overrides=None) -> str:
-    """A run directory holding the resolved ``config`` with ``overrides``."""
-    RunConfig.load(config, overrides or {}).write_resolved(run_dir)
+def write_run_dir(run_dir, normalizer: str, checkpoint: bytes = b"", config=None) -> str:
+    """A run directory holding the resolved ``config``."""
+    RunConfig.load(config, {}).write_resolved(run_dir)
     (run_dir / "normalizer.json").write_text(normalizer)
     (run_dir / "checkpoint.bin").write_bytes(checkpoint)
     return str(run_dir / "checkpoint.bin")
@@ -842,20 +910,18 @@ def test_eval_v1_checkpoint_exit_1(tmp_path, tiny_config, dataset, capsys):
 
 
 @pytest.mark.parametrize(
-    "sections, message",
+    "text, message",
     [
-        ({"extra": {}}, "unknown config section [extra] in"),
-        ({"model": {"width": "8"}}, "unknown key 'width' in section [model] of"),
-        (None, "cannot parse config file"),
+        ("[extra]\n", "unknown config section [extra] in"),
+        ("[model]\nwidth = 8\n", "unknown key 'width' in section [model] of"),
+        ("[model\nd_model = 8\n", "cannot parse config file"),
     ],
     ids=["unknown-section", "unknown-key", "ini-syntax"],
 )
-def test_eval_malformed_run_config_exit_1(tmp_path, dataset, capsys, sections, message):
+def test_eval_malformed_run_config_exit_1(tmp_path, dataset, capsys, text, message):
+    # written as text: a RunConfig cannot hold these sections
     checkpoint = write_run_dir(tmp_path / "run", '{"mean": [0, 0, 0], "std": [1, 1, 1]}')
-    if sections is None:
-        (tmp_path / "run" / "run_config.ini").write_text("[model\nd_model = 8\n")
-    else:
-        RunConfig(sections).write_resolved(tmp_path / "run")
+    (tmp_path / "run" / "run_config.ini").write_text(text)
     code = main(["eval", "--checkpoint", checkpoint, "--data", dataset])
     assert code == 1
     err = capsys.readouterr().err
@@ -877,8 +943,8 @@ def test_eval_without_run_config_exit_1_unless_config_given(tmp_path, tiny_confi
 
 def test_eval_run_config_with_strategy_alias_exit_1(tmp_path, dataset, capsys):
     # each strategy has one spelling; the config is checked before the run directory is read
-    checkpoint = write_run_dir(tmp_path / "run", "{}",
-                               overrides={"train": {"strategy": "time-sequential"}})
+    checkpoint = write_run_dir(tmp_path / "run", "{}")
+    (tmp_path / "run" / "run_config.ini").write_text("[train]\nstrategy = time-sequential\n")
     code = main(["eval", "--checkpoint", checkpoint, "--data", dataset])
     assert code == 1
     assert "got 'time-sequential'" in capsys.readouterr().err

@@ -282,6 +282,9 @@ def test_window_spec_validation():
         WindowSpec(window=10, step=11)
     with pytest.raises(ConfigError):
         WindowSpec(window=10, step=5, label_rule="first")
+    for sizes in ({"val_sessions": 0}, {"test_sessions": 0}):
+        with pytest.raises(ConfigError, match="must each be >= 1"):
+            WindowSpec(**sizes)
 
 
 # session splitting
@@ -289,7 +292,7 @@ def test_window_spec_validation():
 
 def test_split_by_session_is_deterministic():
     recs = [make_recording(30, session=f"s{i}") for i in range(6)]
-    train, val, test = split_by_session(recs, 1, 1)
+    train, val, test = split_by_session(recs, WindowSpec())
     assert [r.session_id for r in train] == ["s0", "s1", "s2", "s3"]
     assert [r.session_id for r in val] == ["s4"]
     assert [r.session_id for r in test] == ["s5"]
@@ -298,7 +301,7 @@ def test_split_by_session_is_deterministic():
 def test_split_requires_enough_sessions():
     recs = [make_recording(30, session=f"s{i}") for i in range(2)]
     with pytest.raises(DataError):
-        split_by_session(recs, 1, 1)
+        split_by_session(recs, WindowSpec())
 
 
 def test_prepare_splits_normalizes_with_train_stats():

@@ -198,6 +198,17 @@ def test_gradcheck_linear_function_is_exact():
     assert gradcheck(lambda t: T.tsum(t), x) < 1e-10
 
 
+def test_gradient_error_kinks_retries_a_step_that_straddles_a_kink():
+    # relu at 3e-6: the +-FD_EPS central difference reads 0.65 of the slope 1,
+    # the retry at KINK_EPS stays on one side; a wrong slope still fails
+    relu = lambda data: lambda: float(max(data[0], 0.0))  # noqa: E731
+    data = np.array([3e-6])
+    assert T.gradient_error(relu(data), data, np.array([1.0])) == pytest.approx(0.35)
+    assert T.gradient_error(relu(data), data, np.array([1.0]), kinks=True) < 1e-8
+    assert T.gradient_error(relu(data), data, np.array([1.05]), kinks=True) > 1e-2
+    assert data[0] == 3e-6
+
+
 def test_gradcheck_softmax_composite():
     x = Tensor(np.random.default_rng(2).normal(size=(6,)))
     err = gradcheck(lambda t: T.tsum(R.softmax(t, axis=0) * t), x)
