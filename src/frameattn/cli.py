@@ -90,7 +90,8 @@ DEFAULTS = {
 # five-row component study (baseline / intra / inter / both / full) plus a
 # reference without the across-frame stages.  baseline to both train with
 # plain cross-entropy.  The ablation grid sets each point's [train] strategy
-# and batch size.
+# and batch size.  baseline, intra and isolated are not yet frame-isolated:
+# the multi-head stage still attends across the batch (ROADMAP item 1).
 _CROSS_ENTROPY = {"loss": {"lam": "0"}}
 COMPONENT_CELLS = {
     "baseline": {"model": {"disable": "intra,inter,pe,moe,gate"}, **_CROSS_ENTROPY},
@@ -98,9 +99,7 @@ COMPONENT_CELLS = {
     "inter": {"model": {"disable": "intra,moe,gate"}, **_CROSS_ENTROPY},
     "both": {"model": {"disable": "moe,gate"}, **_CROSS_ENTROPY},
     "full": {"model": {"disable": ""}},
-    # No inter-frame attention, positional code or gate.  Not yet frame-
-    # isolated: the multi-head stage still attends across the batch
-    # (ROADMAP item 1).
+    # No inter-frame attention, positional code or gate.
     "isolated": {"model": {"disable": "inter,pe,gate"}},
 }
 

@@ -76,7 +76,8 @@ class WindowSpec:
 
 @dataclass
 class Frame:
-    """One sliding-window segment; the unit the model classifies."""
+    """One sliding-window segment; the unit the model classifies.
+    ``chrono_index`` is its window number in its session."""
 
     data: np.ndarray
     label: int
@@ -222,14 +223,13 @@ def _window_labels(windows: np.ndarray, rule: str) -> np.ndarray:
     return np.where(tied, last, classes[counts.argmax(axis=1)])
 
 
-def sliding_window(recording: Recording, spec: WindowSpec, start_index: int = 0) -> list[Frame]:
-    """Segment one session into frames starting at 0, S, 2S, ...
+def sliding_window(recording: Recording, spec: WindowSpec) -> list[Frame]:
+    """Segment one session into frames starting at 0, S, 2S, ..., listed
+    by window start and numbered 0..n-1 (``chrono_index``).
 
     Yields floor((L - T) / S) + 1 frames; a session shorter than one window
-    yields none (warning logged).  ``chrono_index`` counts up from
-    ``start_index``, in window start order.  Every ``Frame.data`` is a
-    read-only view into one (n, T, D) copy made for the whole session.
-    """
+    yields none (warning logged).  Every ``Frame.data`` is a read-only view
+    into one (n, T, D) copy made for the whole session."""
     length = len(recording.samples)
     window, step = spec.window, spec.step
     if length < window:
@@ -245,18 +245,9 @@ def sliding_window(recording: Recording, spec: WindowSpec, start_index: int = 0)
     data.flags.writeable = False
     labels = _window_labels(sliding_window_view(recording.labels, window)[::step], spec.label_rule)
     return [
-        Frame(data=d, label=label, chrono_index=start_index + k, session_id=recording.session_id)
+        Frame(data=d, label=label, chrono_index=k, session_id=recording.session_id)
         for k, (d, label) in enumerate(zip(data, labels.tolist()))
     ]
-
-
-def build_frames(recordings: list[Recording], spec: WindowSpec) -> list[Frame]:
-    """Window every session; chrono_index is assigned globally in
-    (session, window start) order and is a bijection onto 0..N-1."""
-    frames: list[Frame] = []
-    for rec in sorted(recordings, key=lambda r: r.session_id):
-        frames.extend(sliding_window(rec, spec, start_index=len(frames)))
-    return frames
 
 
 def split_by_session(
@@ -287,11 +278,11 @@ def prepare_splits(
     recordings: list[Recording], spec: WindowSpec, stats: NormStats | None = None
 ) -> DataSplits:
     """Split by session (``split_by_session``: the spec's validation and
-    test session counts), normalize with training statistics, and window.
+    test session counts), normalize with training statistics, and window:
+    a split lists its sessions in id order, each one's frames by start.
 
     Passing ``stats`` (e.g. loaded from a previous run) skips the fit, so an
-    evaluation reproduces the exact training-time preprocessing.
-    """
+    evaluation reproduces the exact training-time preprocessing."""
     train_recs, val_recs, test_recs = split_by_session(recordings, spec)
     if stats is None:
         stats = fit_normalizer(train_recs)
@@ -302,7 +293,7 @@ def prepare_splits(
         )
     frames = {}
     for name, recs in (("train", train_recs), ("val", val_recs), ("test", test_recs)):
-        frames[name] = build_frames([apply_normalizer(r, stats) for r in recs], spec)
+        frames[name] = [f for r in recs for f in sliding_window(apply_normalizer(r, stats), spec)]
         if not frames[name]:
             raise DataError(
                 f"the {name} split has no frames: its sessions are shorter than "

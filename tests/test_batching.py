@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 from dataclasses import asdict
 
 import numpy as np
@@ -12,26 +14,23 @@ from frameattn.batching import (
     build_plan,
     canonical_batches,
 )
-from frameattn.data import Frame
+from frameattn.data import Frame, SynthConfig, WindowSpec, generate_synthetic, prepare_splits
 from frameattn.errors import ConfigError
 
 
 def make_frames(per_session, channels=1):
-    """per_session: dict session -> frame count; chrono indices are global."""
-    frames = []
-    chrono = 0
-    for session in sorted(per_session):
-        for _ in range(per_session[session]):
-            frames.append(
-                Frame(
-                    data=np.zeros((4, channels)),
-                    label=0,
-                    chrono_index=chrono,
-                    session_id=session,
-                )
-            )
-            chrono += 1
-    return frames
+    """per_session: dict session -> frame count; sessions in id order, each
+    numbered 0..n-1 as ``prepare_splits`` lists them."""
+    return [
+        Frame(data=np.zeros((4, channels)), label=0, chrono_index=k, session_id=session)
+        for session in sorted(per_session)
+        for k in range(per_session[session])
+    ]
+
+
+def prepared_splits():
+    recs = generate_synthetic(SynthConfig(sessions=4, session_len=900, window=16))
+    return prepare_splits(recs, WindowSpec(window=16, step=8))
 
 
 def assert_partition(plan: BatchPlan, n: int):
@@ -116,6 +115,19 @@ def test_plan_json_lines_are_pinned():
     ]
 
 
+def test_plans_of_a_prepared_split_are_pinned():
+    # the batching order a prepared split gives: its frame order and
+    # chrono_index numbering, through both strategies' RNG draws
+    splits = prepared_splits()
+    digest = hashlib.sha256()
+    for frames in (splits.train, splits.val, splits.test):
+        for strategy in STRATEGIES:
+            for epoch in range(3):
+                plan = build_plan(strategy, frames, 16, seed=0, epoch=epoch)
+                digest.update((json.dumps(asdict(plan)) + "\n").encode())
+    assert digest.hexdigest() == "8e669c22be4c962e25d1fb5df19e1c475ffc0dd7f8c8d5284f913186d21e3ad1"
+
+
 def test_build_plan_rejects_unknown_strategy():
     with pytest.raises(ConfigError):
         build_plan("alphabetical", make_frames({"s": 4}), 2, seed=0, epoch=0)
@@ -133,6 +145,15 @@ def test_canonical_batches_order_is_session_then_time():
     batches = canonical_batches(frames, 4)
     first_sessions = [frames[b[0]].session_id for b in batches]
     assert first_sessions == ["a", "a", "b", "b"]
+
+
+def test_canonical_batches_of_shuffled_frames_match_the_split():
+    train = prepared_splits().train
+    perm = list(range(len(train)))
+    random.Random(5).shuffle(perm)
+    shuffled = [train[i] for i in perm]
+    mapped = [tuple(perm[i] for i in batch) for batch in canonical_batches(shuffled, 16)]
+    assert mapped == canonical_batches(train, 16)
 
 
 def test_sampler_properties_random_cases():

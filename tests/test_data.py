@@ -17,7 +17,6 @@ from frameattn.data import (
     WindowSpec,
     _chain,
     apply_normalizer,
-    build_frames,
     fit_normalizer,
     generate_synthetic,
     load_recordings,
@@ -262,19 +261,6 @@ def test_window_count_matches_enumeration(case):
     assert len(frames) == len(starts) == (length - window) // step + 1
 
 
-def test_frames_never_span_sessions_and_chrono_is_bijection():
-    recs = [make_recording(70, session="b", seed=1), make_recording(50, session="a", seed=2)]
-    frames = build_frames(recs, WindowSpec(window=24, step=12))
-    assert sorted(f.chrono_index for f in frames) == list(range(len(frames)))
-    by_session = {}
-    for f in frames:
-        by_session.setdefault(f.session_id, []).append(f.chrono_index)
-    for indices in by_session.values():
-        assert indices == sorted(indices)
-    # session 'a' sorts first, so its frames take the low indices
-    assert max(by_session["a"]) < min(by_session["b"])
-
-
 def test_window_spec_validation():
     with pytest.raises(ConfigError):
         WindowSpec(window=10, step=0)
@@ -311,6 +297,19 @@ def test_prepare_splits_normalizes_with_train_stats():
     train_data = np.concatenate([f.data for f in splits.train])
     assert abs(train_data.mean()) < 0.2
     assert splits.classes == 4
+
+
+def test_prepare_splits_lists_sessions_in_id_order_each_numbered_by_window():
+    lengths = {"c": 60, "a": 70, "d": 40, "b": 50, "e": 40}
+    recs = [make_recording(n, session=s, seed=i) for i, (s, n) in enumerate(lengths.items())]
+    splits = prepare_splits(recs, WindowSpec(window=24, step=12))
+    assert [len(splits.val), len(splits.test)] == [2, 2]
+    expected = [(s, k) for s in "abc" for k in range((lengths[s] - 24) // 12 + 1)]
+    assert [(f.session_id, f.chrono_index) for f in splits.train] == expected
+    samples = {r.session_id: apply_normalizer(r, splits.stats).samples for r in recs}
+    for f in splits.train + splits.val + splits.test:
+        start = 12 * f.chrono_index
+        np.testing.assert_array_equal(f.data, samples[f.session_id][start : start + 24])
 
 
 @pytest.mark.parametrize("short", [0, 1, 2], ids=["train", "val", "test"])

@@ -177,13 +177,13 @@ def test_windows_match_per_window_oracle(case):
     samples = np.random.default_rng(len(labels)).normal(size=(len(labels), channels))
     rec = Recording(session_id="s", samples=samples, labels=labels)
     spec = WindowSpec(window=window, step=step, label_rule=rule)
-    frames = sliding_window(rec, spec, start_index=7)
+    frames = sliding_window(rec, spec)
     starts = range(0, len(labels) - window + 1, step)
     assert len(frames) == len(starts)
     for k, (frame, s) in enumerate(zip(frames, starts)):
         assert type(frame.label) is int
         assert frame.label == bincount_label(labels[s : s + window], rule)
-        assert frame.chrono_index == 7 + k
+        assert frame.chrono_index == k
         assert frame.data.tobytes() == samples[s : s + window].tobytes()
         assert frame.data.shape == (window, channels)
         assert not frame.data.flags.writeable

@@ -422,17 +422,17 @@ def test_permutation_sensitivity_with_pe(model):
     assert not np.allclose(permuted, base[perm], atol=1e-6)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the isolated cell's multi-head "
-                   "stage still attends across the batch")
-def test_isolated_cell_logits_do_not_depend_on_batch_neighbours():
-    disable = COMPONENT_CELLS["isolated"]["model"]["disable"]
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the multi-head stage still "
+                   "attends across the batch in every cell that keeps it")
+@pytest.mark.parametrize("cell", ["baseline", "intra", "isolated"])
+def test_single_frame_cell_logits_do_not_depend_on_batch_neighbours(cell):
+    disable = COMPONENT_CELLS[cell]["model"]["disable"]
     m = AttentionModel(tiny_cfg(disabled=frozenset(disable.split(","))), seed=0)
     frames = random_frames(8, seed=40)
-    batched = m.forward(frames).logits.data
-    reordered = m.forward(frames[::-1]).logits.data[::-1]
-    np.testing.assert_allclose(reordered, batched, atol=1e-10)
     alone = np.concatenate([m.forward(frames[i : i + 1]).logits.data for i in range(8)])
-    np.testing.assert_allclose(alone, batched, atol=1e-10)
+    np.testing.assert_allclose(m.forward(frames).logits.data, alone, atol=1e-10)
+    np.testing.assert_allclose(m.forward(frames[::-1]).logits.data[::-1], alone, atol=1e-10)
+    np.testing.assert_allclose(m.forward(frames[:3]).logits.data, alone[:3], atol=1e-10)
 
 
 def test_softmax_weight_invariants_across_random_forwards(model):
