@@ -61,11 +61,10 @@ from .model import (
     AttentionModel,
     ModelConfig,
     parameter_gradcheck_report,
-    tiny_gradcheck_config,
 )
 from .training import TrainConfig, TrainResult, checkpoint_load, evaluate, train
 
-GRADCHECK_TOLERANCE = 1e-4
+GRADCHECK_TOLERANCE = 1e-6
 
 
 def _field_defaults(cls, derived: tuple[str, ...] = ()) -> dict[str, str]:
@@ -165,8 +164,9 @@ class RunConfig:
     ``model``, in that order; a RunConfig that exists holds valid configs.
     ``model``'s ``channels`` and ``classes`` are placeholders: ``train``
     takes them from the data, ``eval`` from the run (the normalizer's width
-    and the checkpoint's classes).  [synthetic] is built by ``datagen``
-    alone: its checks tie it to the window, and no other command reads it.
+    and the checkpoint's classes); ``gradcheck`` sets 3 and 4.  [synthetic]
+    is built by ``datagen`` alone: its checks tie it to the window, and no
+    other command reads it.
     """
 
     def __init__(self, sections: dict[str, dict[str, str]]):
@@ -342,8 +342,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     run = RunConfig.load(args.config, _overrides_from_args(args))
-    rows = parameter_gradcheck_report(tiny_gradcheck_config(), LossConfig(lam=0.5),
-                                      seed=run.train.seed)
+    rows = parameter_gradcheck_report(replace(run.model, channels=3, classes=4),
+                                      run.train.loss, seed=run.train.seed)
     print(f"{'block':18s} max-rel-error")
     for name, err in rows:
         print(f"{name:18s} {err:.3e}  {'ok' if err < GRADCHECK_TOLERANCE else 'FAIL'}")
@@ -498,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("gradcheck", help="verify gradients on the fixed tiny model "
-                       "(tiny_gradcheck_config); the config is checked, only train.seed used")
+    p = sub.add_parser("gradcheck", help="verify gradients of the configured model and "
+                       "loss on 3 channels and 4 classes, seeded by train.seed")
     common(p)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -376,41 +376,24 @@ class AttentionModel:
         )
 
 
-def tiny_gradcheck_config() -> ModelConfig:
-    """Small model used by the gradient-check command and its tests."""
-    return ModelConfig(
-        window_len=16,
-        channels=3,
-        classes=4,
-        d_model=8,
-        heads=2,
-        experts=2,
-        dropout=0.0,
-        conv_blocks=3,
-        kernel=5,
-    )
-
-
 def parameter_gradcheck_report(
     cfg: ModelConfig,
     loss_cfg: LossConfig,
     seed: int = 0,
 ) -> list[tuple[str, float]]:
-    """Max relative error between analytic and central-difference gradients
-    on a batch of 4 random frames: one row per stage, then the loss head.
+    """Worst relative error of directional derivatives, analytic against
+    numeric, on a batch of 4 random frames: one row per stage, then the loss.
 
-    A stage's row is the worst error over the parameters named under it,
-    the first dotted part of each name (``backbone``, ``intra``, ...,
-    ``cls``), in parameter order, so every parameter is in exactly one row
-    and no composed row is needed.  The analytic side is a single backward
-    pass through forward+loss; the numeric side perturbs every parameter
-    entry by +-``T.FD_EPS``, and again by a smaller step where that straddles
-    a ReLU kink (``T.gradient_error``'s ``kinks``).
+    The stages are the first dotted parts of the parameter names, in
+    parameter order.  A stage's row is the worst of 4 random unit directions
+    v over its parameters: <grad, v> from one backward pass against the
+    central difference along v of ``T.gradient_error``, with ``kinks``.
     """
     batch = 4
     rng = np.random.default_rng(mix64(seed, TAG_GRADCHECK))
     frames = rng.normal(size=(batch, cfg.window_len, cfg.channels))
     labels = rng.integers(0, cfg.classes, size=batch)
+    logits0 = Tensor(rng.normal(size=(batch, cfg.classes)))
     model = AttentionModel(cfg, seed=seed)
 
     def loss_value() -> Tensor:
@@ -419,13 +402,28 @@ def parameter_gradcheck_report(
 
     T.backward(loss_value())
 
-    worst: dict[str, float] = {}
+    stages: dict[str, list[Tensor]] = {}
     for name, p in model.params.items():
-        err = T.gradient_error(lambda: loss_value().item(), p.data, p.grad, kinks=True)
-        stage = name.split(".")[0]
-        worst[stage] = max(worst.get(stage, 0.0), err)
+        stages.setdefault(name.split(".")[0], []).append(p)
+    worst: dict[str, float] = {}
+    for stage, params in stages.items():
+        start, step = [p.data.copy() for p in params], np.zeros(1)
+
+        def along_v() -> float:
+            for p, p0, vp in zip(params, start, v):
+                p.data[...] = p0 + step[0] * vp
+            return loss_value().item()
+
+        for _ in range(4):
+            v = [rng.normal(size=p.shape) for p in params]
+            norm = math.sqrt(sum((vp * vp).sum() for vp in v))
+            v = [vp / norm for vp in v]
+            slope = sum((p.grad * vp).sum() for p, vp in zip(params, v))
+            err = T.gradient_error(along_v, step, np.array([slope]), kinks=True)
+            worst[stage] = max(worst.get(stage, 0.0), err)
+        for p, p0 in zip(params, start):  # gradient_error left them at start - FD_EPS * v
+            p.data[...] = p0
 
     # The loss head checked in isolation, against its own input logits.
-    logits0 = Tensor(rng.normal(size=(batch, cfg.classes)))
     loss_err = T.gradcheck(lambda t: combined_loss(t, labels, loss_cfg), logits0)
     return [*worst.items(), ("loss", loss_err)]

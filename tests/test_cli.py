@@ -23,6 +23,7 @@ from frameattn.cli import (
     main,
 )
 from frameattn.data import SynthConfig, WindowSpec
+from frameattn.losses import LossConfig
 from frameattn.model import ModelConfig
 from frameattn.training import TrainConfig, checkpoint_load, checkpoint_save
 
@@ -986,8 +987,8 @@ def test_gradcheck_command_passes(capsys):
 
 @pytest.mark.parametrize("setting", ["model.heads=3", "train.batch_size=0", "loss.lam=-1"])
 def test_gradcheck_checks_its_config_as_train_does(tmp_path, capsys, setting):
-    # the checked model is always tiny_gradcheck_config(), but a bad value
-    # is an error all the same, with train's message
+    # gradcheck builds the configuration as train does, so a bad value is
+    # the same error, with train's message
     assert main(["train", "--data", "/nonexistent", "--out", str(tmp_path / "o"),
                  "--set", setting]) == 1
     train_err = capsys.readouterr().err
@@ -995,18 +996,41 @@ def test_gradcheck_checks_its_config_as_train_does(tmp_path, capsys, setting):
     assert capsys.readouterr().err == train_err
 
 
+def test_gradcheck_checks_the_configured_model_and_loss(dataset, monkeypatch):
+    checked = []
+
+    def report(cfg, loss_cfg, seed):
+        checked.append((cfg, loss_cfg))
+        return []
+
+    monkeypatch.setattr(cli, "parameter_gradcheck_report", report)
+    assert main(["gradcheck"]) == 0
+    assert main(["gradcheck", "--set", "model.d_model=32", "--set", "model.heads=4",
+                 "--set", "loss.lam=0"]) == 0
+    assert main(["gradcheck", "--config", str(Path(dataset) / "run_config.ini")]) == 0
+    assert checked == [
+        (ModelConfig(window_len=24, channels=3, classes=4), LossConfig()),
+        (ModelConfig(window_len=24, channels=3, classes=4, d_model=32, heads=4),
+         LossConfig(lam=0.0)),
+        # TINY_CONFIG's [model] and [data] window, through datagen's run_config.ini
+        (ModelConfig(window_len=16, channels=3, classes=4, d_model=8, heads=2, experts=2,
+                     dropout=0.1, conv_blocks=1, kernel=3), LossConfig()),
+    ]
+
+
 def test_gradcheck_fault_injection_names_offending_block(capsys, monkeypatch, scale_backward):
-    # corrupting a stage node's backward breaks the stage that uses it (the
-    # conv blocks after the first take the Winograd path); the fault must be
-    # large because the report's relative error floors its denominator at 1
-    for op, block in (("attention_pool", "intra"), ("conv1d_relu", "backbone")):
-        scale_backward(op, 1000.0)
+    # a 5 % error in one op's backward fails the row of the stage that
+    # first uses it, on the default model
+    for op, block in (("conv1d_relu", "backbone"), ("attention_pool", "intra"),
+                      ("attention", "inter"), ("sigmoid_mix", "blend"),
+                      ("mixture_of_experts", "moe")):
+        scale_backward(op, 1.05)
         code = main(["gradcheck"])
         monkeypatch.undo()
         out = capsys.readouterr().out
         assert code == 1
         assert "FAILED" in out
-        assert block in out.split("FAILED for:")[1]
+        assert block in out.split("FAILED for:")[1].strip().split(", ")
 
 
 def test_ablate_grid_and_csv(tmp_path, tiny_config, dataset):

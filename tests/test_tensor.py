@@ -19,7 +19,6 @@ from frameattn.model import (
     apply_gate,
     combine_attention,
     gate_values,
-    tiny_gradcheck_config,
 )
 from frameattn.tensor import Tensor, backward, gradcheck
 
@@ -536,13 +535,14 @@ def test_winograd_transforms_give_the_5_tap_correlation():
     "cfg",
     [
         ModelConfig(window_len=24, channels=3, classes=4),
-        tiny_gradcheck_config(),
+        ModelConfig(window_len=16, channels=3, classes=4, d_model=8, heads=2, experts=2),
     ],
-    ids=["default", "gradcheck"],
+    ids=["default", "d8"],
 )
 def test_conv_blocks_after_the_first_take_the_winograd_path(monkeypatch, cfg):
     # block 0 reads the raw channels (Cin 3), the later blocks d_model
-    # channels: the default model (d 128) and the gradient-check model (d 8)
+    # channels: the default model (d 128) and the smallest model the
+    # gradient-check tests run (d 8)
     paths = []
     for name in ("_conv_im2col", "_conv_winograd"):
 
