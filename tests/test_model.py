@@ -484,6 +484,22 @@ def test_gradcheck_through_whole_default_model():
         assert err < 1e-6, name
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+def test_gradcheck_report_passes_where_a_step_straddles_a_relu_kink(monkeypatch, seed):
+    # at these seeds a +-1e-4 step along a backbone direction crosses a ReLU
+    # kink: unretried, the backbone row reads 9.5e-4 and 1.4e-5 while every
+    # other row stays below 2e-9
+    monkeypatch.setattr(T, "FD_EPS", 1e-4)
+    kink_gap = T.KINK_GAP
+    monkeypatch.setattr(T, "KINK_GAP", math.inf)
+    unretried = dict(parameter_gradcheck_report(tiny_gradcheck_config(), LossConfig(), seed=seed))
+    assert unretried.pop("backbone") > 1e-5
+    assert max(unretried.values()) < 1e-8
+    monkeypatch.setattr(T, "KINK_GAP", kink_gap)
+    for name, err in parameter_gradcheck_report(tiny_gradcheck_config(), LossConfig(), seed=seed):
+        assert err < 1e-6, name
+
+
 def test_gradcheck_rows_are_the_parameter_stages():
     # one row per first dotted part of a parameter name, in parameter order,
     # so every parameter is in exactly one row; then the loss head
