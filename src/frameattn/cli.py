@@ -89,8 +89,7 @@ DEFAULTS = {
 # five-row component study (baseline / intra / inter / both / full) plus a
 # reference without the across-frame stages.  baseline to both train with
 # plain cross-entropy.  The ablation grid sets each point's [train] strategy
-# and batch size.  baseline, intra and isolated are not yet frame-isolated:
-# the multi-head stage still attends across the batch (ROADMAP item 1).
+# and batch size.  Without inter no stage reads another frame of the batch.
 _CROSS_ENTROPY = {"loss": {"lam": "0"}}
 COMPONENT_CELLS = {
     "baseline": {"model": {"disable": "intra,inter,pe,moe,gate"}, **_CROSS_ENTROPY},

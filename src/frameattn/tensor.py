@@ -21,9 +21,11 @@ The module holds only the ops a training step runs.  The plain ones are
 backward rules, one per stage of the classifier: ``conv1d_relu`` (a conv
 block: convolution along time, bias and ReLU), ``attention_pool`` (additive
 attention pooling over time), ``attention`` (all heads of scaled dot-product
-attention), ``sigmoid_mix`` (the convex blend s * x + (1 - s) * y with
-s = sigmoid(z), for the summary blend and the output gate),
-``mixture_of_experts`` (softmax-gated two-layer experts) and
+attention, with an optional constant score bias such as a mask),
+``sigmoid_mix`` (the convex blend s * x + (1 - s) * y with s = sigmoid(z),
+for the summary blend and the output gate), ``mixture_of_experts``
+(softmax-gated two-layer experts, both layers packed in one (E, 2, d, d)
+weight and one (E, 2, 1, d) bias) and
 ``focal_cross_entropy`` (the training loss).  Each computes its forward with
 the numpy ops of the composed graph it replaces, in the same order, so
 values and gradients are bit-identical to that graph's.  The exception is
@@ -270,11 +272,13 @@ def _softmax(z: Array, axis: int) -> Array:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def attention(qkv: Tensor, heads: int) -> tuple[Tensor, Array]:
+def attention(qkv: Tensor, heads: int, bias: Array | None = None) -> tuple[Tensor, Array]:
     """Scaled dot-product attention among the B rows of a packed projection
     qkv (B, 3d) of query, key and value blocks; head i reads columns
-    i*d_head:(i+1)*d_head of each.  One node, returning the (B, d) head
-    outputs and, as a plain array, the (heads, B, B) weights P.  Backward as
+    i*d_head:(i+1)*d_head of each.  A constant ``bias``, (B, B) or
+    (heads, B, B), is added to the scaled scores before the softmax; -inf
+    masks a pair out.  One node, returning the (B, d) head outputs and, as
+    a plain array, the (heads, B, B) weights P.  Backward as
     in Dao et al., 2022 (arXiv:2205.14135): dV = P^T dO, dP = dO V^T,
     dS = P * (dP - rowsum(dP * P)) * scale, dQ = dS K and dK = (Q^T dS)^T."""
     qkv = _as_tensor(qkv)
@@ -285,7 +289,10 @@ def attention(qkv: Tensor, heads: int) -> tuple[Tensor, Array]:
     scale = 1.0 / math.sqrt(d_head)
     q, k, v = qkv.data.reshape(batch, 3, heads, d_head).transpose(1, 2, 0, 3).copy()
     kt = k.transpose(0, 2, 1).copy()
-    p = _softmax((q @ kt) * scale, axis=2)
+    scores = (q @ kt) * scale
+    if bias is not None:
+        scores += bias
+    p = _softmax(scores, axis=2)
     out = (p @ v).transpose(1, 0, 2).reshape(batch, d)
 
     def rule(g):
@@ -350,40 +357,34 @@ def attention_pool(feats: Tensor, w1: Tensor, b1: Tensor, w2: Tensor) -> tuple[T
     return _node(out, (feats, w1, b1, w2), rule), p
 
 
-def mixture_of_experts(
-    x: Tensor, gate_w: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor
-) -> tuple[Tensor, Array]:
+def mixture_of_experts(x: Tensor, gate_w: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, Array]:
     """Softmax-gated mixture of E two-layer ReLU experts (Shazeer et al.,
     2017, arXiv:1701.06538, without the sparsity): sum_e p_e * (relu(x @
-    w1[e] + b1[e]) @ w2[e] + b2[e]) with p = softmax(x @ gate_w) over the
-    experts.  x (B, d), gate_w (d, E), w1 (E, d, h), b1 (E, 1, h), w2
-    (E, h, n), b2 (E, 1, n); each layer is one matmul broadcast over the
-    expert axis.  One node, returning the (B, n) mixture and, as a plain
-    array, the (B, E) weights.  Backward keeps the ReLU output, which is
-    also its mask, the expert outputs and the weights."""
-    x, gate_w, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, gate_w, w1, b1, w2, b2))
+    w[e, 0] + b[e, 0]) @ w[e, 1] + b[e, 1]) with p = softmax(x @ gate_w) over
+    the experts.  x (B, d), gate_w (d, E), and each expert's two layers
+    packed as w (E, 2, d, d) and b (E, 2, 1, d); each layer is one matmul
+    broadcast over the expert axis.  One node, returning the (B, d) mixture
+    and, as a plain array, the (B, E) weights.  Backward keeps the ReLU
+    output, which is also its mask, the expert outputs and the weights, and
+    writes both layers' gradients into slices of one array per operand."""
+    x, gate_w, w, b = (_as_tensor(t) for t in (x, gate_w, w, b))
     experts_n = gate_w.shape[1] if gate_w.ndim == 2 else -1
     if (
         x.ndim != 2
         or gate_w.shape != (x.shape[1], experts_n)
-        or w1.ndim != 3
-        or w1.shape[:2] != (experts_n, x.shape[1])
-        or b1.shape != (experts_n, 1, w1.shape[2])
-        or w2.ndim != 3
-        or w2.shape[:2] != (experts_n, w1.shape[2])
-        or b2.shape != (experts_n, 1, w2.shape[2])
+        or w.shape != (experts_n, 2, x.shape[1], x.shape[1])
+        or b.shape != (experts_n, 2, 1, x.shape[1])
     ):
         raise ShapeError(
-            f"mixture_of_experts: need x (B, d), gate_w (d, E), w1 (E, d, h), b1 (E, 1, h), "
-            f"w2 (E, h, n) and b2 (E, 1, n), got {x.shape}, {gate_w.shape}, {w1.shape}, "
-            f"{b1.shape}, {w2.shape} and {b2.shape}"
+            f"mixture_of_experts: need x (B, d), gate_w (d, E), w (E, 2, d, d) and "
+            f"b (E, 2, 1, d), got {x.shape}, {gate_w.shape}, {w.shape} and {b.shape}"
         )
     p = _softmax(x.data @ gate_w.data, axis=1)
-    hidden = x.data @ w1.data
-    hidden += b1.data
+    hidden = x.data @ w.data[:, 0]
+    hidden += b.data[:, 0]
     np.maximum(hidden, 0.0, out=hidden)
-    experts = hidden @ w2.data
-    experts += b2.data
+    experts = hidden @ w.data[:, 1]
+    experts += b.data[:, 1]
     p3 = p.T.copy().reshape(experts_n, x.shape[0], 1)
     out = (p3 * experts).sum(axis=0)
 
@@ -392,22 +393,24 @@ def mixture_of_experts(
         g_p = (experts * g3).sum(axis=2).T
         g_z = p * (g_p - (g_p * p).sum(axis=1, keepdims=True))
         g_e = p3 * g3
-        if b2.requires_grad:
-            _acc(b2, g_e)
-        if w2.requires_grad:
-            _acc(w2, np.swapaxes(hidden, -1, -2) @ g_e)
-        g_h = (hidden > 0.0) * (g_e @ np.swapaxes(w2.data, -1, -2))
-        if b1.requires_grad:
-            _acc(b1, g_h)
-        if w1.requires_grad:
-            _acc(w1, np.swapaxes(x.data, -1, -2) @ g_h)
+        g_h = (hidden > 0.0) * (g_e @ np.swapaxes(w.data[:, 1], -1, -2))
+        if b.requires_grad:
+            g_b = np.empty(b.shape)
+            np.sum(g_h, axis=1, keepdims=True, out=g_b[:, 0])
+            np.sum(g_e, axis=1, keepdims=True, out=g_b[:, 1])
+            _acc(b, g_b)
+        if w.requires_grad:
+            g_w = np.empty(w.shape)
+            np.matmul(np.swapaxes(x.data, -1, -2), g_h, out=g_w[:, 0])
+            np.matmul(np.swapaxes(hidden, -1, -2), g_e, out=g_w[:, 1])
+            _acc(w, g_w)
         if gate_w.requires_grad:
             _acc(gate_w, np.swapaxes(x.data, -1, -2) @ g_z)
         if x.requires_grad:
-            g_x = (g_h @ np.swapaxes(w1.data, -1, -2)).sum(axis=0)
+            g_x = (g_h @ np.swapaxes(w.data[:, 0], -1, -2)).sum(axis=0)
             _acc(x, g_z @ np.swapaxes(gate_w.data, -1, -2) + g_x)
 
-    return _node(out, (x, gate_w, w1, b1, w2, b2), rule), p
+    return _node(out, (x, gate_w, w, b), rule), p
 
 
 def focal_cross_entropy(

@@ -27,8 +27,9 @@ from .model import AttentionModel, ModelConfig
 from .seeding import TAG_DROPOUT, mix64
 from .tensor import Tensor
 
-# v2: attention projections and experts stored as stacked tensors.
-CHECKPOINT_MAGIC = "FRAMEATTN v2"
+# v3: only the parameters of the stages a model runs, and each expert's two
+# layers packed as moe.w and moe.b (v2 kept moe.w1/b1/w2/b2 and every stage).
+CHECKPOINT_MAGIC = "FRAMEATTN v3"
 
 
 @dataclass(frozen=True)

@@ -907,7 +907,7 @@ def test_eval_v1_checkpoint_exit_1(tmp_path, tiny_config, dataset, capsys):
     code = main(["eval", "--checkpoint", checkpoint, "--data", dataset])
     assert code == 1
     err = capsys.readouterr().err
-    assert "FRAMEATTN v1" in err and "FRAMEATTN v2" in err
+    assert "FRAMEATTN v1" in err and "FRAMEATTN v3" in err
 
 
 @pytest.mark.parametrize(

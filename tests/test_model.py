@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +51,11 @@ def random_frames(batch=4, steps=16, channels=3, seed=0):
     return np.random.default_rng(seed).normal(size=(batch, steps, channels))
 
 
+def cell_disabled(cell):
+    """The stages an ablation cell switches off."""
+    return frozenset(filter(None, COMPONENT_CELLS[cell]["model"]["disable"].split(",")))
+
+
 # parameter layout
 
 
@@ -84,8 +90,8 @@ def test_stacked_init_matches_one_draw_per_matrix():
     np.testing.assert_array_equal(p["gate.wg"], draw((8, 8), 8))
     np.testing.assert_array_equal(p["moe.gate.w"], draw((8, 3), 8))
     for i in range(3):
-        np.testing.assert_array_equal(p["moe.w1"][i], draw((8, 8), 8))
-        np.testing.assert_array_equal(p["moe.w2"][i], draw((8, 8), 8))
+        for layer in (0, 1):
+            np.testing.assert_array_equal(p["moe.w"][i, layer], draw((8, 8), 8))
     np.testing.assert_array_equal(p["cls.w"], draw((8, 4), 8))
 
 
@@ -355,8 +361,8 @@ def test_moe_single_expert_is_identity_mixture():
     out, weights = moe_layer(x, m.params)
     np.testing.assert_allclose(weights, 1.0)
     p = m.params
-    hidden = np.maximum(x.data @ p["moe.w1"].data[0] + p["moe.b1"].data[0], 0)
-    expert = hidden @ p["moe.w2"].data[0] + p["moe.b2"].data[0]
+    (w1, w2), (b1, b2) = p["moe.w"].data[0], p["moe.b"].data[0]
+    expert = np.maximum(x.data @ w1 + b1, 0) @ w2 + b2
     np.testing.assert_allclose(out.data, expert, atol=1e-12)
 
 
@@ -378,8 +384,8 @@ def test_moe_matches_weighted_sum_oracle():
     w = e / e.sum(axis=1, keepdims=True)
     expected = np.zeros((4, 8))
     for i in range(3):
-        hidden = np.maximum(x @ p["moe.w1"].data[i] + p["moe.b1"].data[i], 0)
-        expert = hidden @ p["moe.w2"].data[i] + p["moe.b2"].data[i]
+        (w1, w2), (b1, b2) = p["moe.w"].data[i], p["moe.b"].data[i]
+        expert = np.maximum(x @ w1 + b1, 0) @ w2 + b2
         expected += w[:, i : i + 1] * expert
     out, weights = moe_layer(Tensor(x), p)
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -421,12 +427,9 @@ def test_permutation_sensitivity_with_pe(model):
     assert not np.allclose(permuted, base[perm], atol=1e-6)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the multi-head stage still "
-                   "attends across the batch in every cell that keeps it")
 @pytest.mark.parametrize("cell", ["baseline", "intra", "isolated"])
 def test_single_frame_cell_logits_do_not_depend_on_batch_neighbours(cell):
-    disable = COMPONENT_CELLS[cell]["model"]["disable"]
-    m = AttentionModel(tiny_cfg(disabled=frozenset(disable.split(","))), seed=0)
+    m = AttentionModel(tiny_cfg(disabled=cell_disabled(cell)), seed=0)
     frames = random_frames(8, seed=40)
     alone = np.concatenate([m.forward(frames[i : i + 1]).logits.data for i in range(8)])
     np.testing.assert_allclose(m.forward(frames).logits.data, alone, atol=1e-10)
@@ -477,19 +480,20 @@ def test_gradcheck_through_whole_tiny_model():
 
 
 def test_gradcheck_through_whole_default_model():
-    # at this seed a step along a backbone direction straddles a ReLU kink
-    # whose gap KINK_GAP 1e-4 missed: the backbone row read 9.5e-6
+    # the command's own size.  With zero biases this seed's backbone row
+    # crossed a ReLU kink and read 9.5e-6 at KINK_GAP 1e-4; with the report's
+    # drawn biases no seed in 0-59 crosses one unretried (worst row 4.6e-10)
     cfg = ModelConfig(window_len=24, channels=3, classes=4)
     for name, err in parameter_gradcheck_report(cfg, LossConfig(), seed=42):
         assert err < 1e-6, name
 
 
-@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("seed", [0, 27])
 def test_gradcheck_report_passes_where_a_step_straddles_a_relu_kink(monkeypatch, seed):
-    # at these seeds a +-1e-4 step along a backbone direction crosses a ReLU
-    # kink: unretried, the backbone row reads 9.5e-4 and 1.4e-5 while every
-    # other row stays below 2e-9
-    monkeypatch.setattr(T, "FD_EPS", 1e-4)
+    # at these seeds a +-3e-4 step along a backbone direction crosses a ReLU
+    # kink: unretried, the backbone row reads 5.4e-3 and 7.0e-4 while every
+    # other row stays below 1e-8
+    monkeypatch.setattr(T, "FD_EPS", 3e-4)
     kink_gap = T.KINK_GAP
     monkeypatch.setattr(T, "KINK_GAP", math.inf)
     unretried = dict(parameter_gradcheck_report(tiny_gradcheck_config(), LossConfig(), seed=seed))
@@ -512,6 +516,52 @@ def test_gradcheck_rows_are_the_parameter_stages():
     # the stages a model config can switch off are named alike, but for pe,
     # which has no parameters
     assert DISABLEABLE - {"pe"} <= set(rows)
+
+
+def test_gradcheck_report_passes_at_d_model_2():
+    # two channels leave whole receptive fields at zero after a ReLU; with
+    # the zero initial biases such a unit sat on its own kink, which no step
+    # resolves, and 12 of these seeds failed
+    cfg = ModelConfig(window_len=24, channels=3, classes=4, d_model=2, heads=1)
+    for seed in range(20):
+        for name, err in parameter_gradcheck_report(cfg, LossConfig(), seed=seed):
+            assert err < 1e-6, (seed, name)
+
+
+def test_gradcheck_rows_of_the_baseline_cell():
+    # a stage the model does not run has no parameters, so no row
+    cfg = replace(tiny_gradcheck_config(), disabled=cell_disabled("baseline"))
+    rows = [name for name, _ in parameter_gradcheck_report(cfg, LossConfig(), seed=0)]
+    assert rows == ["backbone", "cat", "mh", "cls", "loss"]
+
+
+@pytest.mark.parametrize("cell", sorted(COMPONENT_CELLS))
+def test_cell_holds_only_the_parameters_it_runs(cell):
+    # the full model's parameters minus every stage the cell switches off,
+    # and the blend without both summaries, with the same values at a seed
+    disabled = cell_disabled(cell)
+    skipped = disabled | ({"blend"} if disabled & {"intra", "inter"} else set())
+    full = AttentionModel(tiny_cfg(), seed=3)
+    m = AttentionModel(tiny_cfg(disabled=disabled), seed=3)
+    kept = [name for name in full.params if name.split(".")[0] not in skipped]
+    assert list(m.params) == kept
+    assert m.decay_keys == full.decay_keys & set(kept)
+    for name in kept:
+        assert m.params[name].data.tobytes() == full.params[name].data.tobytes()
+    m.forward(random_frames(3))
+
+
+def test_default_size_parameter_counts():
+    counts = {}
+    for cell in ("default", *COMPONENT_CELLS):
+        disabled = frozenset() if cell == "default" else cell_disabled(cell)
+        params = AttentionModel(ModelConfig(24, 3, 4, disabled=disabled)).params.values()
+        counts[cell] = (len(params), sum(p.data.size for p in params))
+    assert counts == {
+        "default": (21, 604_165), "full": (21, 604_165), "baseline": (11, 264_964),
+        "intra": (14, 273_284), "inter": (12, 314_116), "both": (16, 322_437),
+        "isolated": (17, 538_500),
+    }
 
 
 def test_gradcheck_through_backbone_input():

@@ -241,12 +241,14 @@ def every_op_cases(seed):
     moe = {
         name: Tensor(rng.normal(size=shape))
         for name, shape in (
-            ("x", (3, 7)), ("gate_w", (7, 5)), ("w1", (5, 7, 7)),
-            ("b1", (5, 1, 7)), ("w2", (5, 7, 7)), ("b2", (5, 1, 7)),
+            ("x", (3, 7)), ("gate_w", (7, 5)), ("w", (5, 2, 7, 7)), ("b", (5, 2, 1, 7)),
         )
     }
+    moe_ones = Tensor(np.ones((5, 1, 7, 1)))
+    moe_b0, moe_b1 = Tensor(moe["b"].data[:, :1]), Tensor(moe["b"].data[:, 1:])
     mix_z = Tensor(rng.normal(size=(5, 7)))
     mix_x, mix_y = Tensor(rng.normal(size=(5, 7))), Tensor(rng.normal(size=(5, 7)))
+    attn_bias, causal = rng.normal(size=(4, 5, 5)), np.where(np.tri(5) > 0, 0.0, -np.inf)
 
     def sq(u):
         return T.tsum(u * u)
@@ -285,7 +287,8 @@ def every_op_cases(seed):
         lambda t: T.tsum(T.dropout(t, 0.5, np.random.default_rng(seed)) * t),
     ]
     cases += [
-        lambda t, h=h: T.tsum(T.attention(t @ wqkv, h)[0] * attn_cot) for h in (1, 4)
+        lambda t, h=h, bias=bias: T.tsum(T.attention(t @ wqkv, h, bias)[0] * attn_cot)
+        for h, bias in ((1, None), (4, None), (1, attn_bias[0]), (4, attn_bias), (4, causal))
     ]
     cases += [
         lambda t: sq(T.attention_pool(R.reshape(t, (1, 5, 7)), pool_w1, pool_b1, pool_w2)[0]),
@@ -302,10 +305,11 @@ def every_op_cases(seed):
     cases += [
         lambda t: moe_with("x", t),
         lambda t: moe_with("gate_w", R.reshape(t, (7, 5))),
-        lambda t: moe_with("w1", moe["w1"] * R.reshape(t, (5, 7, 1))),
-        lambda t: moe_with("b1", R.reshape(t, (5, 1, 7))),
-        lambda t: moe_with("w2", moe["w2"] * R.reshape(t, (5, 7, 1))),
-        lambda t: moe_with("b2", R.reshape(t, (5, 1, 7))),
+        # t scales the rows of one layer of w, or is one layer of b
+        lambda t: moe_with("w", moe["w"] * T.concat([R.reshape(t, (5, 1, 7, 1)), moe_ones], 1)),
+        lambda t: moe_with("w", moe["w"] * T.concat([moe_ones, R.reshape(t, (5, 1, 7, 1))], 1)),
+        lambda t: moe_with("b", T.concat([R.reshape(t, (5, 1, 1, 7)), moe_b1], 1)),
+        lambda t: moe_with("b", T.concat([moe_b0, R.reshape(t, (5, 1, 1, 7))], 1)),
         lambda t: sq(T.sigmoid_mix(t, mix_x, mix_y)[0]),
         lambda t: sq(T.sigmoid_mix(R.getitem(t, np.s_[1:2, 2:3]), mix_x, mix_y)[0]),
         lambda t: sq(T.sigmoid_mix(mix_z, t, mix_y)[0]),
@@ -605,32 +609,44 @@ def test_conv1d_relu_rejects_bad_shapes():
             T.conv1d_relu(x, Tensor(np.zeros((3, 3, 5))), Tensor(np.zeros(bias)))
 
 
-def composed_attention(qkv, heads):
+def composed_attention(qkv, heads, bias=None):
     """The attention graph of elementary ops that ``T.attention`` replaces."""
     batch, d = qkv.shape[0], qkv.shape[1] // 3
     d_head = d // heads
     packed = R.transpose(R.reshape(qkv, (batch, 3, heads, d_head)), (1, 2, 0, 3))
     q, k, v = (R.getitem(packed, i) for i in range(3))
-    weights = R.softmax((q @ R.transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(d_head)), axis=2)
+    scores = (q @ R.transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(d_head))
+    if bias is not None:
+        scores = scores + Tensor(bias)
+    weights = R.softmax(scores, axis=2)
     return R.reshape(R.transpose(weights @ v, (1, 0, 2)), (batch, d)), weights
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_attention_matches_composed_graph(heads):
-    # outputs, weights and the gradients of both operands of x @ wqkv
+    # outputs, weights and the gradients of both operands of x @ wqkv,
+    # without a score bias, with a per-head one, and with the self-only and
+    # causal masks
     rng = np.random.default_rng(40 + heads)
     x0, w0 = rng.normal(size=(9, 8)), rng.normal(size=(8, 24))
     cot = Tensor(rng.normal(size=(9, 8)))
-    results = []
-    for op in (composed_attention, T.attention):
-        x, wqkv = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
-        out, weights = op(x @ wqkv, heads)
-        backward(T.tsum(out * cot))
-        weights = weights.data if isinstance(weights, Tensor) else weights
-        results.append((out.data, weights, x.grad, wqkv.grad))
-    for ref, got in zip(*results):
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(results[1][1].sum(axis=2), 1.0, atol=1e-12)
+    masks = [np.where(keep, 0.0, -np.inf) for keep in (np.eye(9, dtype=bool), np.tri(9) > 0)]
+    for bias in (None, rng.normal(size=(heads, 9, 9)), *masks):
+        results = []
+        for op in (composed_attention, T.attention):
+            x, wqkv = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+            out, weights = op(x @ wqkv, heads, bias)
+            backward(T.tsum(out * cot))
+            weights = weights.data if isinstance(weights, Tensor) else weights
+            results.append((out.data, weights, x.grad, wqkv.grad))
+        for ref, got in zip(*results):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(results[1][1].sum(axis=2), 1.0, atol=1e-12)
+    # under the self-only mask every head's weights are the identity, so each
+    # row's output is its own value block
+    out, weights = T.attention(Tensor(x0 @ w0), heads, masks[0])
+    np.testing.assert_array_equal(weights, np.broadcast_to(np.eye(9), (heads, 9, 9)))
+    np.testing.assert_array_equal(out.data, (x0 @ w0)[:, 16:])
 
 
 def test_attention_rejects_bad_packing():
@@ -663,8 +679,9 @@ def composed_attention_pool(feats, w1, b1, w2):
     return T.tsum(R.reshape(weights, (batch, steps, 1)) * feats, axis=1), weights
 
 
-def composed_mixture_of_experts(x, gate_w, w1, b1, w2, b2):
+def composed_mixture_of_experts(x, gate_w, w, b):
     """The graph of elementary ops that ``T.mixture_of_experts`` replaces."""
+    (w1, w2), (b1, b2) = ([R.getitem(t, np.s_[:, i]) for i in (0, 1)] for t in (w, b))
     weights = R.softmax(x @ gate_w, axis=1)
     experts = R.relu(x @ w1 + b1) @ w2 + b2
     per_expert = R.reshape(R.transpose(weights), (*experts.shape[:2], 1))
@@ -692,17 +709,14 @@ def test_attention_pool_matches_composed_graph(batch, steps, d, h, seed):
     batch=st.integers(1, 4),
     d=st.integers(1, 5),
     experts=st.integers(1, 10),
-    h=st.integers(1, 5),
-    n=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_mixture_of_experts_matches_composed_graph(batch, d, experts, h, n, seed):
+def test_mixture_of_experts_matches_composed_graph(batch, d, experts, seed):
     rng = np.random.default_rng(seed)
-    shapes = ((batch, d), (d, experts), (experts, d, h), (experts, 1, h), (experts, h, n),
-              (experts, 1, n))
+    shapes = ((batch, d), (d, experts), (experts, 2, d, d), (experts, 2, 1, d))
     arrays = [rng.normal(size=s) for s in shapes]
     assert_fused_matches_composed(
-        T.mixture_of_experts, composed_mixture_of_experts, arrays, rng.normal(size=(batch, n))
+        T.mixture_of_experts, composed_mixture_of_experts, arrays, rng.normal(size=(batch, d))
     )
 
 
@@ -791,9 +805,9 @@ def test_fused_stage_ops_reject_bad_shapes():
         T.attention_pool(z(2, 3, 4), z(5, 2), z(1, 2), z(2, 1))
     with pytest.raises(ShapeError, match=r"attention_pool.*\(2, 3\)"):
         T.attention_pool(z(2, 3, 4), z(4, 2), z(1, 2), z(2, 3))
-    with pytest.raises(ShapeError, match=r"mixture_of_experts.*\(3, 4, 5\)"):
-        T.mixture_of_experts(z(2, 4), z(4, 2), z(3, 4, 5), z(2, 1, 5), z(2, 5, 4), z(2, 1, 4))
-    with pytest.raises(ShapeError, match=r"mixture_of_experts.*\(2, 1, 3\)"):
-        T.mixture_of_experts(z(2, 4), z(4, 2), z(2, 4, 5), z(2, 1, 5), z(2, 5, 4), z(2, 1, 3))
+    with pytest.raises(ShapeError, match=r"mixture_of_experts.*\(3, 2, 4, 4\)"):
+        T.mixture_of_experts(z(2, 4), z(4, 2), z(3, 2, 4, 4), z(2, 2, 1, 4))
+    with pytest.raises(ShapeError, match=r"mixture_of_experts.*\(2, 2, 1, 3\)"):
+        T.mixture_of_experts(z(2, 4), z(4, 2), z(2, 2, 4, 4), z(2, 2, 1, 3))
     with pytest.raises(ShapeError, match=r"sigmoid_mix.*\(3, 1\), \(2, 4\) and \(2, 4\)"):
         T.sigmoid_mix(z(3, 1), z(2, 4), z(2, 4))

@@ -216,6 +216,14 @@ def test_checkpoint_truncated_payload_errors(tmp_path):
         checkpoint_load(tmp_path / "bad.bin")
 
 
+def test_checkpoint_v2_is_refused_naming_both_versions(tmp_path):
+    # v2 held every stage's parameters and moe.w1/b1/w2/b2
+    path = tmp_path / "v2.bin"
+    path.write_bytes(b"FRAMEATTN v2\nmoe.w1 3 1 1 1\n" + bytes(8))
+    with pytest.raises(CheckpointError, match="expected 'FRAMEATTN v3', got 'FRAMEATTN v2'"):
+        checkpoint_load(path)
+
+
 def test_checkpoint_version_mismatch(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"FRAMEATTN v9\n")
@@ -449,12 +457,12 @@ def test_train_rejects_non_finite_gradient_before_update(tmp_path, monkeypatch):
         clean_backward(loss)
         if opts[0].t == 2:
             before.append(state(opts[0]))
-            opts[0].params["moe.w1"].grad[0, 0, 0] = np.nan
+            opts[0].params["moe.w"].grad[0, 1, 0, 0] = np.nan
 
     monkeypatch.setattr(training, "AdamW", RecordedAdamW)
     monkeypatch.setattr(T, "backward", poisoned_backward)
     splits = small_splits()
-    with pytest.raises(NumericError, match=r"'moe.w1' at epoch 0, batch 2, lr 0.001"):
+    with pytest.raises(NumericError, match=r"'moe.w' at epoch 0, batch 2, lr 0.001"):
         train(model_config(), splits.train, splits.val, splits.test, train_config(), tmp_path)
     assert state(opts[0]) == before[0]
 
