@@ -40,13 +40,17 @@ need besides the ones here (``transpose``, ``reshape``, ``getitem``,
 Broadcasting follows numpy; the backward side sums gradients over broadcast
 dimensions.  Everything is float64: at the sizes this package targets the
 precision is worth far more than the speed, and it is what makes tight
-finite-difference tolerances achievable.
+finite-difference tolerances achievable.  Ops allocate their arrays per
+call; importing the module sets the allocator policy ``_keep_freed_memory``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
+import platform
+import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,6 +64,25 @@ Array = np.ndarray
 LOG_FLOOR = 1e-12
 
 _grad_enabled = True
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep freed memory for reuse.  By default it unmaps
+    freed blocks of 128 KiB and up and trims the heap top, so each batch
+    faulted its arrays in afresh; blocks up to 32 MiB (its 64-bit ceiling)
+    now come from the heap, trimmed only past 1 GiB free.  Off glibc: a no-op."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in malloc.h
+    for param, value in ((-3, 32 << 20), (-1, 1 << 30)):
+        if mallopt(param, value) != 1:
+            warnings.warn(f"mallopt({param}, {value}) failed", RuntimeWarning, stacklevel=2)
+
+
+_keep_freed_memory()
 
 
 @contextlib.contextmanager
@@ -232,12 +255,9 @@ def tmean(a: Tensor, axis: int | None = None) -> Tensor:
 
 
 def _sigmoid_stable(z: Array) -> Array:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z), from e^-|z| <= 1 on both sides so no exp overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid_mix(z, x, y) -> tuple[Tensor, Array]:
@@ -530,20 +550,27 @@ def _winograd_transforms(points: Sequence[float], m: int, r: int) -> tuple[Array
 
 
 _WINO_AT, _WINO_G, _WINO_BT = _winograd_transforms((0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5), 4, 5)
-# Module state, like _grad_enabled: the autodiff is single-threaded.
-_workspace = np.empty(0)
 
 
-def _scratch(*shapes: tuple[int, ...]) -> list[Array]:
-    """Uninitialised arrays of the given shapes, all views of one workspace
-    kept across calls, so valid only until the next call.  It grows to the
-    largest request and never shrinks, so its pages are faulted in once."""
-    global _workspace
-    sizes = [math.prod(s) for s in shapes]
-    if _workspace.size < sum(sizes):
-        _workspace = np.empty(sum(sizes))
-    ends = np.cumsum(sizes)
-    return [_workspace[end - size : end].reshape(s) for s, size, end in zip(shapes, sizes, ends)]
+def _to_phases(a: Array, phases: Array) -> None:
+    """phases (4, B, tiles, C)[j, :, i] = a (B, T, C)[:, 4i + j], 0 past T."""
+    batch, steps, c = a.shape
+    full, rest = divmod(steps, 4)
+    phases[:, :, :full] = a[:, : 4 * full].reshape(batch, full, 4, c).transpose(2, 0, 1, 3)
+    if rest:
+        phases[:rest, :, full] = a[:, 4 * full :].transpose(1, 0, 2)
+        phases[rest:, :, full] = 0.0
+
+
+def _from_phases(phases: Array, shape: tuple[int, int, int]) -> Array:
+    """The inverse of ``_to_phases``: a new (B, T, C) array from ``phases``."""
+    batch, steps, c = shape
+    full, rest = divmod(steps, 4)
+    a = np.empty(shape)
+    a[:, : 4 * full].reshape(batch, full, 4, c)[...] = phases[:, :, :full].transpose(1, 2, 0, 3)
+    if rest:
+        a[:, 4 * full :] = phases[:rest, :, full].transpose(1, 0, 2)
+    return a
 
 
 def _conv_winograd(x: Tensor, w: Tensor, bias: Array) -> tuple[Array, Callable[[Array], None]]:
@@ -553,54 +580,41 @@ def _conv_winograd(x: Tensor, w: Tensor, bias: Array) -> tuple[Array, Callable[[
     and U = G w (8, Cin, Cout), the products M = V @ U are 8 batched
     matmuls and the outputs are A^T M.  The rule takes the masked output
     gradient back through the same transforms: dM = A dY, dW = G^T (V^T dM)
-    and dx overlap-adds the tile gradients B (dM U^T)."""
+    and dx overlap-adds the tile gradients B (dM U^T).  Tiles are laid out
+    (8, B, tiles, Cin), so rows 2..5 are one strided copy of x, and bias and
+    ReLU run in place on the (4, B, tiles, Cout) A^T M before one copy out;
+    the rule moves its gradients the same way."""
     batch, steps, c_in = x.shape
     c_out = w.shape[2]
     tiles_n = -(-steps // 4)
-    rows = batch * tiles_n
-    counts = [len(range(i, steps, 4)) for i in range(4)]  # samples at t = i mod 4
-    tiles, prods, y_tiles = _scratch(
-        (8, batch, tiles_n, c_in), (8, rows, c_out), (4, batch, tiles_n, c_out)
-    )
+    tiles = np.empty((8, batch, tiles_n, c_in))
     # tile rows 2..5 read each sample once; rows 0, 1 repeat rows 4, 5 of
     # the tile before and rows 6, 7 rows 2, 3 of the tile after
-    for i in range(4):
-        tiles[2 + i, :, : counts[i]] = x.data[:, i::4]
-        tiles[2 + i, :, counts[i] :] = 0.0
+    _to_phases(x.data, tiles[2:6])
     tiles[0:2, :, 0] = 0.0
     tiles[0:2, :, 1:] = tiles[4:6, :, :-1]
     tiles[6:8, :, -1] = 0.0
     tiles[6:8, :, :-1] = tiles[2:4, :, 1:]
-    v = (_WINO_BT @ tiles.reshape(8, -1)).reshape(8, rows, c_in)
+    v = (_WINO_BT @ tiles.reshape(8, -1)).reshape(8, -1, c_in)
     u = (_WINO_G @ w.data.reshape(5, -1)).reshape(8, c_in, c_out)
-    np.matmul(v, u, out=prods)
-    np.matmul(_WINO_AT, prods.reshape(8, -1), out=y_tiles.reshape(4, -1))
-    out = np.empty((batch, steps, c_out))
-    for i in range(4):
-        phase = out[:, i::4]
-        np.add(y_tiles[i, :, : counts[i]], bias, out=phase)
-        np.maximum(phase, 0.0, out=phase)
+    y_tiles = (_WINO_AT @ (v @ u).reshape(8, -1)).reshape(4, batch, tiles_n, c_out)
+    y_tiles += bias
+    np.maximum(y_tiles, 0.0, out=y_tiles)
+    out = _from_phases(y_tiles, (batch, steps, c_out))
 
     def rule(g):
-        g_y, g_m, g_v, g_tiles = _scratch(
-            (4, batch, tiles_n, c_out), (8, rows, c_out), (8, rows, c_in), (8, batch, tiles_n, c_in)
-        )
-        for i in range(4):
-            g_y[i, :, : counts[i]] = g[:, i::4]
-            g_y[i, :, counts[i] :] = 0.0
-        np.matmul(_WINO_AT.T, g_y.reshape(4, -1), out=g_m.reshape(8, -1))
+        g_y = np.empty((4, batch, tiles_n, c_out))
+        _to_phases(g, g_y)
+        g_m = (_WINO_AT.T @ g_y.reshape(4, -1)).reshape(8, -1, c_out)
         if w.requires_grad:
             g_u = np.swapaxes(v, 1, 2) @ g_m
             _acc(w, (_WINO_G.T @ g_u.reshape(8, -1)).reshape(w.data.shape))
         if x.requires_grad:
-            np.matmul(g_m, np.swapaxes(u, 1, 2), out=g_v)
-            np.matmul(_WINO_BT.T, g_v.reshape(8, -1), out=g_tiles.reshape(8, -1))
+            g_v = g_m @ np.swapaxes(u, 1, 2)
+            g_tiles = (_WINO_BT.T @ g_v.reshape(8, -1)).reshape(8, batch, tiles_n, c_in)
             g_tiles[4:6, :, :-1] += g_tiles[0:2, :, 1:]
             g_tiles[2:4, :, 1:] += g_tiles[6:8, :, :-1]
-            g_x = np.empty(x.data.shape)
-            for i in range(4):
-                g_x[:, i::4] = g_tiles[2 + i, :, : counts[i]]
-            _acc(x, g_x)
+            _acc(x, _from_phases(g_tiles[2:6], x.data.shape))
 
     return out, rule
 
@@ -626,20 +640,13 @@ def conv1d_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     128 -> 128: 14.9 vs 10.5.  With few input channels the tile transforms
     outweigh the saved multiplies.  At 8 to 16 channels and B <= 32 the
     paths differ by about 0.1 ms, and the bound at 8 keeps small checked
-    models (d_model 8) on the default model's path.  So the model's
-    first block, on the raw sensor channels, runs on im2col and every later
-    block on Winograd.
+    models (d_model 8) on the default model's path: the first block, on the
+    raw sensor channels, runs on im2col and every later block on Winograd.
 
     For backward, im2col keeps its columns (B*T, k*Cin) and Winograd its
     transformed input tiles (8, B*ceil(T/4), Cin): 15.7 and 6.3 MB per block
-    at d_model 128, B 128.  Winograd's other arrays of a pass are views of
-    the workspace that ``_scratch`` keeps across calls, and so are its
-    rule's.  Allocated one by one, glibc hands each back to the OS on free
-    and the next call faults fresh pages in: at d_model 128, B 128, 3,075
-    minor faults per eval batch and 2,823 per training step, which made the
-    eval forward slower than im2col's.  The workspace holds its memory for
-    the life of the process instead: 22.0 MB at d_model 128, B 128 and
-    1.4 MB at d_model 32, B 32, the rule's four arrays."""
+    at d_model 128, B 128.  All other arrays are per call, and their freed
+    pages are reused under ``_keep_freed_memory``'s allocator policy."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if (
         x.ndim != 3

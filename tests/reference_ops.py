@@ -5,6 +5,8 @@ graphs of elementary ops they replace.  The ops those graphs need besides
 the ones the package runs live here, built on the same ``T._node`` and
 ``T._acc``, so a composed graph records and backpropagates exactly as it
 would inside the package.  Each has a case in the every-op gradcheck.
+``sigmoid_masked`` is a plain array function: the form of the package's
+stable sigmoid that its bit-identity test compares against.
 """
 
 from __future__ import annotations
@@ -77,6 +79,17 @@ def sigmoid(a: Tensor) -> Tensor:
         T._acc(a, y * (1.0 - y) * g)
 
     return T._node(y, (a,), rule)
+
+
+def sigmoid_masked(z: np.ndarray) -> np.ndarray:
+    """The stable sigmoid by boolean masks, the form ``T._sigmoid_stable``
+    replaced: 1 / (1 + e^-z) where z >= 0 and e^z / (1 + e^z) elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def relu(a: Tensor) -> Tensor:
