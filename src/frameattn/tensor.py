@@ -42,12 +42,15 @@ dimensions.  Everything is float64: at the sizes this package targets the
 precision is worth far more than the speed, and it is what makes tight
 finite-difference tolerances achievable.  Ops allocate their arrays per
 call; importing the module sets the allocator policy ``_keep_freed_memory``.
+``blas_threads`` gives the BLAS thread count's controls to callers that run
+ops on several threads at once.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import math
 import platform
 import warnings
@@ -83,6 +86,33 @@ def _keep_freed_memory() -> None:
 
 
 _keep_freed_memory()
+
+
+@functools.cache
+def blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The loaded OpenBLAS's get- and set-num-threads functions, looked up by
+    their exported names (``scipy_openblas_get_num_threads64_`` in numpy's
+    wheels) in the OpenBLAS shared objects listed in /proc/self/maps; None
+    where there is no such list or no such library (another BLAS, or off
+    Linux).  The count is process-wide: it holds for every thread's calls."""
+    try:
+        with open("/proc/self/maps") as fh:  # the path is a line's last field
+            paths = {line.split(None, 5)[-1].strip() for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # such as a library deleted since it was mapped
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
 
 
 @contextlib.contextmanager
@@ -596,6 +626,7 @@ def _conv_winograd(x: Tensor, w: Tensor, bias: Array) -> tuple[Array, Callable[[
     tiles[6:8, :, -1] = 0.0
     tiles[6:8, :, :-1] = tiles[2:4, :, 1:]
     v = (_WINO_BT @ tiles.reshape(8, -1)).reshape(8, -1, c_in)
+    del tiles  # neither the rest of the forward nor the rule reads it
     u = (_WINO_G @ w.data.reshape(5, -1)).reshape(8, c_in, c_out)
     y_tiles = (_WINO_AT @ (v @ u).reshape(8, -1)).reshape(4, batch, tiles_n, c_out)
     y_tiles += bias

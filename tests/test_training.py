@@ -1,6 +1,9 @@
 import gc
 import json
+import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,8 @@ from hypothesis import strategies as st
 
 from frameattn import tensor as T
 from frameattn import training
-from frameattn.data import SynthConfig, WindowSpec, generate_synthetic, prepare_splits
+from frameattn.batching import canonical_batches
+from frameattn.data import Frame, SynthConfig, WindowSpec, generate_synthetic, prepare_splits
 from frameattn.errors import CheckpointError, ConfigError, NumericError
 from frameattn.losses import LossConfig, combined_loss
 from frameattn.model import AttentionModel, ModelConfig
@@ -100,6 +104,37 @@ def test_adamw_with_zero_decay_matches_plain_adam_oracle():
         ref -= 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
         p["w"].zero_grad()
     np.testing.assert_allclose(p["w"].data, ref, atol=1e-12)
+
+
+def reference_adamw_step(opt, params, m, v, t):
+    """One step of the AdamW formula, written out of place on copies."""
+    bc1, bc2 = 1.0 - opt.beta1**t, 1.0 - opt.beta2**t
+    for name, p in params.items():
+        g = p.grad
+        m[name] = m[name] * opt.beta1 + (1.0 - opt.beta1) * g
+        v[name] = v[name] * opt.beta2 + (1.0 - opt.beta2) * g * g
+        update = opt.lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + opt.eps)
+        if opt.weight_decay and name in opt.decay_keys:
+            update = update + opt.lr * opt.weight_decay * p.data
+        p.data -= update
+
+
+def test_adamw_in_place_step_is_bit_identical_to_the_formula():
+    m = small_model()
+    ref = small_model()
+    opt = AdamW(m.params, m.decay_keys, lr=3e-3, weight_decay=1e-2)
+    assert m.decay_keys and set(m.params) - m.decay_keys  # both kinds of key
+    moments = [{k: np.zeros_like(p.data) for k, p in ref.params.items()} for _ in range(2)]
+    rng = np.random.default_rng(0)
+    for t in range(1, 4):
+        for name, p in m.params.items():
+            p.grad[...] = ref.params[name].grad[...] = rng.normal(size=p.data.shape)
+        opt.step()
+        reference_adamw_step(opt, ref.params, *moments, t)
+    for name, p in m.params.items():
+        np.testing.assert_array_equal(p.data, ref.params[name].data, err_msg=name)
+        np.testing.assert_array_equal(opt.m[name], moments[0][name], err_msg=name)
+        np.testing.assert_array_equal(opt.v[name], moments[1][name], err_msg=name)
 
 
 # gradient clipping
@@ -347,6 +382,152 @@ def test_evaluate_does_not_mutate_params_or_optimizer():
     evaluate(m, splits.val, 16, LossConfig(), splits.classes)
     assert {k: v.data.tobytes() for k, v in m.params.items()} == params_before
     assert opt_state() == opt_before
+
+
+def random_frames(sessions, per_session, window=16, classes=4, seed=0):
+    rng = np.random.default_rng(seed)
+    return [
+        Frame(rng.normal(size=(window, 3)), int(rng.integers(classes)), i, f"s{s}")
+        for s in range(sessions)
+        for i in range(per_session)
+    ]
+
+
+# 2 sessions of 8 full batches of 768 and a partial one of 56: 18 batches of
+# 768 frames of 16 samples, at d_model 16 a pass above the concurrency rule
+LONG_PASS, LONG_BATCH = random_frames(2, 6200), 768
+
+
+def long_pass_model():
+    return small_model(window_len=16, d_model=16)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The process's BLAS at 2 threads for the test, then as it was."""
+    hooks = T.blas_threads()
+    if hooks is None:
+        pytest.skip("no OpenBLAS thread count to set in this process")
+    get, put = hooks
+    before = get()
+    put(2)
+    yield hooks
+    put(before)
+
+
+def record_forwards(monkeypatch, fail_at=None):
+    """Wrap AttentionModel.forward to record each call's start time, thread
+    and BLAS thread count; the call on the batch ``fail_at`` raises."""
+    calls = []
+    lock = threading.Lock()
+    get_threads = T.blas_threads()[0]
+    forward = AttentionModel.forward
+
+    def recorded(self, frames, **kw):
+        with lock:
+            calls.append((time.perf_counter(), threading.get_ident(), get_threads()))
+        if fail_at is not None and np.array_equal(frames, fail_at):
+            raise RuntimeError("forward failed on purpose")
+        return forward(self, frames, **kw)
+
+    monkeypatch.setattr(AttentionModel, "forward", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_concurrent_evaluate_equals_one_worker_bit_for_bit(monkeypatch, two_blas_threads, workers):
+    # 4 workers on a 2-core box, switching threads every 10 us, stress the
+    # in-order collection of results
+    m = long_pass_model()
+    batches = canonical_batches(LONG_PASS, LONG_BATCH)
+    assert len(batches) >= training.CONCURRENT_MIN_BATCHES
+    assert LONG_BATCH * 16 * 16 >= training.CONCURRENT_MIN_FEATURES
+    assert len(batches[-1]) < LONG_BATCH
+    calls = record_forwards(monkeypatch)
+    two_blas_threads[1](workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        loss, acc = evaluate(m, LONG_PASS, LONG_BATCH, LossConfig(), 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == len(batches)
+    assert threading.get_ident() not in {ident for _, ident, _ in calls}
+    assert {threads for _, _, threads in calls} == {1}
+    assert two_blas_threads[0]() == workers
+
+    monkeypatch.setattr(T, "blas_threads", lambda: None)
+    loss_one, acc_one = evaluate(m, LONG_PASS, LONG_BATCH, LossConfig(), 4)
+    assert loss == loss_one
+    for counts in ("tp", "fp", "fn"):
+        np.testing.assert_array_equal(getattr(acc, counts), getattr(acc_one, counts))
+
+
+@pytest.mark.parametrize(
+    "case", ["no BLAS hook", "pass too short", "batch too small"]
+)
+def test_evaluate_below_the_rule_runs_on_the_calling_thread(monkeypatch, two_blas_threads, case):
+    m = long_pass_model()
+    frames, batch = LONG_PASS, LONG_BATCH
+    if case == "pass too short":
+        frames = random_frames(1, (training.CONCURRENT_MIN_BATCHES - 1) * batch)
+    elif case == "batch too small":
+        batch = training.CONCURRENT_MIN_FEATURES // (16 * 16) - 1
+    calls = record_forwards(monkeypatch)
+    if case == "no BLAS hook":
+        monkeypatch.setattr(T, "blas_threads", lambda: None)
+    evaluate(m, frames, batch, LossConfig(), 4)
+    assert len(calls) == len(canonical_batches(frames, batch))
+    assert {(ident, threads) for _, ident, threads in calls} == {(threading.get_ident(), 2)}
+    assert two_blas_threads[0]() == 2
+
+
+@pytest.mark.parametrize("failing", ["forward", "scores"])
+def test_concurrent_evaluate_error_stops_workers_and_restores_blas(
+    monkeypatch, two_blas_threads, failing
+):
+    # batch 3 fails: in its worker's forward, or where the calling thread
+    # adds up its scores
+    m = long_pass_model()
+    batches = canonical_batches(LONG_PASS, LONG_BATCH)
+    if failing == "forward":
+        calls = record_forwards(monkeypatch, fail_at=training._gather(LONG_PASS, batches[3])[0])
+    else:
+        calls = record_forwards(monkeypatch)
+        updates = []
+        update = training.MetricsAccumulator.update
+
+        def failing_update(acc, predictions, labels):
+            updates.append(len(labels))
+            if len(updates) == 4:
+                raise RuntimeError("scores failed on purpose")
+            update(acc, predictions, labels)
+
+        monkeypatch.setattr(training.MetricsAccumulator, "update", failing_update)
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match="on purpose"):
+        evaluate(m, LONG_PASS, LONG_BATCH, LossConfig(), 4)
+    raised = time.perf_counter()
+    assert threading.active_count() == threads_before
+    assert two_blas_threads[0]() == 2
+    time.sleep(0.1)  # a worker still running would start another forward
+    assert 4 <= len(calls) < len(batches)
+    assert all(start < raised for start, _, _ in calls)
+
+
+@pytest.mark.parametrize("d_model", [16, 128])
+def test_eval_logits_do_not_depend_on_the_blas_thread_count(two_blas_threads, d_model):
+    get, put = two_blas_threads
+    m = AttentionModel(ModelConfig(window_len=24, channels=3, classes=5, d_model=d_model))
+    rng = np.random.default_rng(0)
+    with T.no_grad():
+        for batch in (1, 7, 41, 128):
+            x = rng.normal(size=(batch, 24, 3))
+            put(2)
+            two = m.forward(x).logits.data
+            put(1)
+            one = m.forward(x).logits.data
+            np.testing.assert_array_equal(one, two, err_msg=f"B {batch}")
 
 
 # train loop
