@@ -41,6 +41,7 @@ baselines are configured:
     inter -> the blend collapses to the within-frame summary
             (both off: the blend output is the encoded embedding), and the
             multi-head stage is frame-local: each frame attends to itself
+            alone, so the stage is its value projection ``x @ mh.wv @ mh.wo``
     gate  -> the gate output is the multi-head output
     moe   -> the expert mixture is an identity
 
@@ -120,7 +121,8 @@ class ForwardTrace:
     sum to 1): ``intra_weights`` is (B, T), ``inter_weights`` (B, B),
     ``head_weights`` (heads, B, B) and ``moe_weights`` (B, E).  ``gate`` is
     the (B, d) sigmoid of the gate logits, also a plain array.  Disabled
-    stages leave their fields as None.
+    stages leave their fields as None, and a frame-local multi-head stage
+    leaves ``head_weights`` None.
     """
 
     x_bar: Tensor
@@ -132,7 +134,7 @@ class ForwardTrace:
     a_com: Tensor
     x_att: Tensor
     a_mul: Tensor
-    head_weights: np.ndarray
+    head_weights: np.ndarray | None
     gate: np.ndarray | None
     o_gated: Tensor
     o_moe: Tensor
@@ -193,14 +195,15 @@ def fuse_features(x_bar: Tensor, a_com: Tensor, params: dict) -> Tensor:
 
 def multi_head_attention(
     x: Tensor, params: dict, cfg: ModelConfig
-) -> tuple[Tensor, np.ndarray]:
+) -> tuple[Tensor, np.ndarray | None]:
     """h parallel scaled dot-product attentions over the batch, concatenated
     and output-projected; returns the (B, d) output and the (h, B, B)
-    weights.  With ``inter`` off a self-only mask keeps it frame-local: each
-    frame attends to itself alone, so its output is its value projection."""
-    batch = x.shape[0]
-    self_only = None if cfg.enabled("inter") else np.where(np.eye(batch, dtype=bool), 0.0, -np.inf)
-    out, weights = T.attention(x @ params["mh.wqkv"], cfg.heads, self_only)
+    weights.  With ``inter`` off the stage is frame-local: a frame attending
+    to itself alone gets weight 1 on its own value, so the output is the
+    value projection ``x @ mh.wv @ mh.wo`` and the weights are None."""
+    if not cfg.enabled("inter"):
+        return x @ params["mh.wv"] @ params["mh.wo"], None
+    out, weights = T.attention(x @ params["mh.wqkv"], cfg.heads)
     return out @ params["mh.wo"], weights
 
 
@@ -271,7 +274,11 @@ class AttentionModel:
         self._add("inter.wqkv", self._qkv(rng, 1), decay=True)
         self._add("blend.alpha", np.zeros((1, 1)), decay=False)
         self._add("cat.w", self._matrix(rng, (2 * d, d), 2 * d), decay=True)
-        self._add("mh.wqkv", self._qkv(rng, cfg.heads), decay=True)
+        mh_qkv = self._qkv(rng, cfg.heads)
+        if cfg.enabled("inter"):
+            self._add("mh.wqkv", mh_qkv, decay=True)
+        else:  # frame-local: only the value third is read
+            self._add("mh.wv", mh_qkv[:, 2 * d :].copy(), decay=True)
         self._add("mh.wo", self._matrix(rng, (d, d), d), decay=True)
         self._add("gate.wg", self._matrix(rng, (d, d), d), decay=True)
         self._add("gate.bg", np.zeros((1, d)), decay=False)
@@ -391,7 +398,7 @@ def parameter_gradcheck_report(
     The stages are the first dotted parts of the parameter names, in
     parameter order.  A stage's row is the worst of 4 random unit directions
     v over its parameters: <grad, v> from one backward pass against the
-    central difference along v of ``T.gradient_error``, with ``kinks``.
+    central difference along v of ``T.gradient_error``.
 
     A random direction dilutes a fault confined to a few entries: an
     absolute gradient error eps on k of a stage's n entries reads about
@@ -436,7 +443,7 @@ def parameter_gradcheck_report(
             norm = math.sqrt(sum((vp * vp).sum() for vp in v))
             v = [vp / norm for vp in v]
             slope = sum((p.grad * vp).sum() for p, vp in zip(params, v))
-            err = T.gradient_error(along_v, step, np.array([slope]), kinks=True)
+            err = T.gradient_error(along_v, step, np.array([slope]))
             worst[stage] = max(worst.get(stage, 0.0), err)
         for p, p0 in zip(params, start):  # gradient_error left them at start - FD_EPS * v
             p.data[...] = p0

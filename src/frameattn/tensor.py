@@ -21,11 +21,10 @@ The module holds only the ops a training step runs.  The plain ones are
 backward rules, one per stage of the classifier: ``conv1d_relu`` (a conv
 block: convolution along time, bias and ReLU), ``attention_pool`` (additive
 attention pooling over time), ``attention`` (all heads of scaled dot-product
-attention, with an optional constant score bias such as a mask),
-``sigmoid_mix`` (the convex blend s * x + (1 - s) * y with s = sigmoid(z),
-for the summary blend and the output gate), ``mixture_of_experts``
-(softmax-gated two-layer experts, both layers packed in one (E, 2, d, d)
-weight and one (E, 2, 1, d) bias) and
+attention), ``sigmoid_mix`` (the convex blend s * x + (1 - s) * y with
+s = sigmoid(z), for the summary blend and the output gate),
+``mixture_of_experts`` (softmax-gated two-layer experts, both layers packed
+in one (E, 2, d, d) weight and one (E, 2, 1, d) bias) and
 ``focal_cross_entropy`` (the training loss).  Each computes its forward with
 the numpy ops of the composed graph it replaces, in the same order, so
 values and gradients are bit-identical to that graph's.  The exception is
@@ -322,13 +321,11 @@ def _softmax(z: Array, axis: int) -> Array:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def attention(qkv: Tensor, heads: int, bias: Array | None = None) -> tuple[Tensor, Array]:
+def attention(qkv: Tensor, heads: int) -> tuple[Tensor, Array]:
     """Scaled dot-product attention among the B rows of a packed projection
     qkv (B, 3d) of query, key and value blocks; head i reads columns
-    i*d_head:(i+1)*d_head of each.  A constant ``bias``, (B, B) or
-    (heads, B, B), is added to the scaled scores before the softmax; -inf
-    masks a pair out.  One node, returning the (B, d) head outputs and, as
-    a plain array, the (heads, B, B) weights P.  Backward as
+    i*d_head:(i+1)*d_head of each.  One node, returning the (B, d) head
+    outputs and, as a plain array, the (heads, B, B) weights P.  Backward as
     in Dao et al., 2022 (arXiv:2205.14135): dV = P^T dO, dP = dO V^T,
     dS = P * (dP - rowsum(dP * P)) * scale, dQ = dS K and dK = (Q^T dS)^T."""
     qkv = _as_tensor(qkv)
@@ -339,10 +336,7 @@ def attention(qkv: Tensor, heads: int, bias: Array | None = None) -> tuple[Tenso
     scale = 1.0 / math.sqrt(d_head)
     q, k, v = qkv.data.reshape(batch, 3, heads, d_head).transpose(1, 2, 0, 3).copy()
     kt = k.transpose(0, 2, 1).copy()
-    scores = (q @ kt) * scale
-    if bias is not None:
-        scores += bias
-    p = _softmax(scores, axis=2)
+    p = _softmax((q @ kt) * scale, axis=2)
     out = (p @ v).transpose(1, 0, 2).reshape(batch, d)
 
     def rule(g):
@@ -761,11 +755,8 @@ def backward(loss: Tensor) -> None:
             node.grad, node._rule, node._parents = None, _released, ()
 
 
-# Steps of the central differences in ``gradient_error``: the first, and its
-# retry where a kink lies within the first.
+# Step of the central differences in ``gradient_error``.
 FD_EPS = 1e-5
-KINK_EPS = 1e-7
-KINK_GAP = 1e-6
 
 
 def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
@@ -782,35 +773,20 @@ def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
     return gradient_error(lambda: f(probe).item(), probe.data, probe.grad)
 
 
-def gradient_error(
-    f: Callable[[], float], data: Array, analytic: Array, kinks: bool = False
-) -> float:
+def gradient_error(f: Callable[[], float], data: Array, analytic: Array) -> float:
     """Max over entries of |analytic - numeric| / max(1, |analytic|, |numeric|),
     ``numeric`` being the central difference of ``f()`` in each entry of
     ``data``: the entry is moved by +-FD_EPS in place, with graph recording
-    off, then restored.
-
-    A kink (a ReLU's, say) within the step puts the central difference off by
-    half the gap between the one-sided differences.  With ``kinks``, an entry
-    whose gap exceeds KINK_GAP (relative, as the error) is measured again at
-    KINK_EPS, which the model's parameter report asks for: at a KINK_GAP of
-    1e-4 a d_model 128 direction crossed a kink unretried and read 9.5e-6.
-    Off by default: a smooth ``f`` of large curvature has a gap too, and the
-    smaller step's rounding error can exceed a tight bound."""
+    off, then restored."""
     numeric = np.zeros_like(analytic)
     with no_grad():
-        centre = f()
         for i in np.ndindex(data.shape):
-            for eps in (FD_EPS, KINK_EPS):
-                orig = data[i]
-                data[i] = orig + eps
-                plus = f()
-                data[i] = orig - eps
-                minus = f()
-                data[i] = orig
-                numeric[i] = (plus - minus) / (2.0 * eps)
-                gap = abs(plus - 2.0 * centre + minus) / eps
-                if not (kinks and gap > KINK_GAP * max(1.0, abs(numeric[i]))):
-                    break
+            orig = data[i]
+            data[i] = orig + FD_EPS
+            plus = f()
+            data[i] = orig - FD_EPS
+            minus = f()
+            data[i] = orig
+            numeric[i] = (plus - minus) / (2.0 * FD_EPS)
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float((np.abs(analytic - numeric) / denom).max())

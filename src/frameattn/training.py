@@ -30,6 +30,9 @@ from .tensor import Tensor
 
 # v3: only the parameters of the stages a model runs, and each expert's two
 # layers packed as moe.w and moe.b (v2 kept moe.w1/b1/w2/b2 and every stage).
+# A frame-local cell (inter off) holds mh.wv, the value third of mh.wqkv; an
+# older v3 file of such a cell holds mh.wqkv, and load_state refuses it
+# naming both.
 CHECKPOINT_MAGIC = "FRAMEATTN v3"
 
 
@@ -72,8 +75,6 @@ class AdamW:
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * theta,
     decay applied only to parameters in ``decay_keys`` (matrices, not biases
     or the blend logit).  The moment decays and eps are Adam's defaults.
-    A step runs in place, in two scratch arrays sized to the largest
-    parameter, with the operations and operand order of that formula.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -92,8 +93,6 @@ class AdamW:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
-        largest = max((p.data.size for p in params.values()), default=0)
-        self._scratch = (np.empty(largest), np.empty(largest))
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -109,23 +108,13 @@ class AdamW:
                 raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
             m = self.m[name]
             v = self.v[name]
-            update, tmp = (a[: g.size].reshape(g.shape) for a in self._scratch)
-            np.multiply(g, 1.0 - self.beta1, out=tmp)
             m *= self.beta1
-            m += tmp
-            np.multiply(g, 1.0 - self.beta2, out=tmp)
-            tmp *= g
+            m += (1.0 - self.beta1) * g
             v *= self.beta2
-            v += tmp
-            np.divide(m, bc1, out=update)
-            update *= self.lr
-            np.divide(v, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += self.eps
-            update /= tmp
+            v += (1.0 - self.beta2) * g * g
+            update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             if self.weight_decay and name in self.decay_keys:
-                np.multiply(p.data, self.lr * self.weight_decay, out=tmp)
-                update += tmp
+                update = update + self.lr * self.weight_decay * p.data
             p.data -= update
 
 

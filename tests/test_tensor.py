@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frameattn import tensor as T
+from frameattn.cli import COMPONENT_CELLS
 from frameattn.errors import ConfigError, FrameAttnError, ShapeError
 from frameattn.losses import LossConfig, combined_loss
 from frameattn.model import (
@@ -25,6 +26,7 @@ from frameattn.model import (
     apply_gate,
     combine_attention,
     gate_values,
+    multi_head_attention,
 )
 from frameattn.tensor import Tensor, backward, gradcheck
 
@@ -203,17 +205,6 @@ def test_gradcheck_linear_function_is_exact():
     assert gradcheck(lambda t: T.tsum(t), x) < 1e-10
 
 
-def test_gradient_error_kinks_retries_a_step_that_straddles_a_kink():
-    # relu at 3e-6: the +-FD_EPS central difference reads 0.65 of the slope 1,
-    # the retry at KINK_EPS stays on one side; a wrong slope still fails
-    relu = lambda data: lambda: float(max(data[0], 0.0))  # noqa: E731
-    data = np.array([3e-6])
-    assert T.gradient_error(relu(data), data, np.array([1.0])) == pytest.approx(0.35)
-    assert T.gradient_error(relu(data), data, np.array([1.0]), kinks=True) < 1e-8
-    assert T.gradient_error(relu(data), data, np.array([1.05]), kinks=True) > 1e-2
-    assert data[0] == 3e-6
-
-
 def test_gradcheck_softmax_composite():
     x = Tensor(np.random.default_rng(2).normal(size=(6,)))
     err = gradcheck(lambda t: T.tsum(R.softmax(t, axis=0) * t), x)
@@ -254,7 +245,6 @@ def every_op_cases(seed):
     moe_b0, moe_b1 = Tensor(moe["b"].data[:, :1]), Tensor(moe["b"].data[:, 1:])
     mix_z = Tensor(rng.normal(size=(5, 7)))
     mix_x, mix_y = Tensor(rng.normal(size=(5, 7))), Tensor(rng.normal(size=(5, 7)))
-    attn_bias, causal = rng.normal(size=(4, 5, 5)), np.where(np.tri(5) > 0, 0.0, -np.inf)
 
     def sq(u):
         return T.tsum(u * u)
@@ -292,10 +282,7 @@ def every_op_cases(seed):
         lambda t: sq(T.conv1d_relu(wino_x, wino_w, R.reshape(R.getitem(t, 0), (1, 1, 7)))),
         lambda t: T.tsum(T.dropout(t, 0.5, np.random.default_rng(seed)) * t),
     ]
-    cases += [
-        lambda t, h=h, bias=bias: T.tsum(T.attention(t @ wqkv, h, bias)[0] * attn_cot)
-        for h, bias in ((1, None), (4, None), (1, attn_bias[0]), (4, attn_bias), (4, causal))
-    ]
+    cases += [lambda t, h=h: T.tsum(T.attention(t @ wqkv, h)[0] * attn_cot) for h in (1, 4)]
     cases += [
         lambda t: sq(T.attention_pool(R.reshape(t, (1, 5, 7)), pool_w1, pool_b1, pool_w2)[0]),
         lambda t: sq(
@@ -659,29 +646,48 @@ def composed_attention(qkv, heads, bias=None):
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_attention_matches_composed_graph(heads):
-    # outputs, weights and the gradients of both operands of x @ wqkv,
-    # without a score bias, with a per-head one, and with the self-only and
-    # causal masks
+    # outputs, weights and the gradients of both operands of x @ wqkv
     rng = np.random.default_rng(40 + heads)
     x0, w0 = rng.normal(size=(9, 8)), rng.normal(size=(8, 24))
     cot = Tensor(rng.normal(size=(9, 8)))
-    masks = [np.where(keep, 0.0, -np.inf) for keep in (np.eye(9, dtype=bool), np.tri(9) > 0)]
-    for bias in (None, rng.normal(size=(heads, 9, 9)), *masks):
-        results = []
-        for op in (composed_attention, T.attention):
-            x, wqkv = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
-            out, weights = op(x @ wqkv, heads, bias)
-            backward(T.tsum(out * cot))
-            weights = weights.data if isinstance(weights, Tensor) else weights
-            results.append((out.data, weights, x.grad, wqkv.grad))
-        for ref, got in zip(*results):
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(results[1][1].sum(axis=2), 1.0, atol=1e-12)
-    # under the self-only mask every head's weights are the identity, so each
-    # row's output is its own value block
-    out, weights = T.attention(Tensor(x0 @ w0), heads, masks[0])
-    np.testing.assert_array_equal(weights, np.broadcast_to(np.eye(9), (heads, 9, 9)))
-    np.testing.assert_array_equal(out.data, (x0 @ w0)[:, 16:])
+    results = []
+    for op in (composed_attention, T.attention):
+        x, wqkv = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+        out, weights = op(x @ wqkv, heads)
+        backward(T.tsum(out * cot))
+        weights = weights.data if isinstance(weights, Tensor) else weights
+        results.append((out.data, weights, x.grad, wqkv.grad))
+    for ref, got in zip(*results):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(results[1][1].sum(axis=2), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("cell", ["baseline", "intra", "isolated"])
+def test_frame_local_multi_head_stage_is_self_masked_attention(cell):
+    # with inter off the stage is x @ mh.wv @ mh.wo: the composed attention
+    # graph, each frame masked to itself, on any q/k beside mh.wv; outputs
+    # and the gradients of x, the value projection and mh.wo
+    cfg = ModelConfig(window_len=8, channels=3, classes=3, d_model=16, heads=4, experts=2,
+                      disabled=COMPONENT_CELLS[cell]["model"]["disable"].split(","))
+    model = AttentionModel(cfg, seed=3)
+    rng = np.random.default_rng(5)
+    x0, cot = rng.normal(size=(7, 16)), Tensor(rng.normal(size=(7, 16)))
+    wv, wo = model.params["mh.wv"], model.params["mh.wo"]
+    wqkv = Tensor(np.hstack([rng.normal(size=(16, 32)), wv.data]), requires_grad=True)
+    self_only = np.where(np.eye(7, dtype=bool), 0.0, -np.inf)
+
+    x, ref_x = Tensor(x0, requires_grad=True), Tensor(x0, requires_grad=True)
+    out, weights = multi_head_attention(x, model.params, cfg)
+    assert weights is None
+    backward(T.tsum(out * cot))
+    got_wo = wo.grad.copy()
+    wo.zero_grad()
+    ref_out = composed_attention(ref_x @ wqkv, cfg.heads, self_only)[0] @ wo
+    backward(T.tsum(ref_out * cot))
+    for got, ref in ((out.data, ref_out.data), (x.grad, ref_x.grad),
+                     (wv.grad, wqkv.grad[:, 32:]), (got_wo, wo.grad)):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(wqkv.grad[:, :32], 0.0)  # q and k are dead weights
 
 
 def test_attention_rejects_bad_packing():

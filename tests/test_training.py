@@ -362,6 +362,20 @@ def test_load_state_rejects_checkpoint_with_intra_b2(tmp_path):
         m.load_state(checkpoint_load(path))
 
 
+def test_load_state_rejects_a_frame_local_checkpoint_with_mh_wqkv(tmp_path):
+    # a frame-local cell (inter off) holds the value projection mh.wv alone;
+    # a checkpoint of such a cell that still holds the whole mh.wqkv is
+    # refused, naming both
+    m = small_model(disabled=["intra", "inter", "pe", "moe", "gate"])
+    arrays = m.state_arrays()
+    arrays["mh.wqkv"] = small_model().params["mh.wqkv"].data
+    del arrays["mh.wv"]
+    path = tmp_path / "old.bin"
+    checkpoint_save(arrays, path)
+    with pytest.raises(CheckpointError, match=r"missing \['mh.wv'\], unexpected \['mh.wqkv'\]"):
+        m.load_state(checkpoint_load(path))
+
+
 # evaluation
 
 
