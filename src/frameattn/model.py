@@ -22,7 +22,7 @@ plus the plain matmuls and adds around it:
 
     conv block             ``T.conv1d_relu`` (convolution, bias, ReLU); at
                            the default 5 taps block 0, on the raw channels,
-                           runs on im2col and later blocks on Winograd F(4, 5)
+                           runs on im2col and later blocks on Winograd F(8, 5)
     within-frame pooling   ``T.attention_pool`` (tanh scores, softmax over T,
                            weighted sum)
     across-frame attention ``T.attention`` on ``x @ inter.wqkv``, one head
@@ -274,11 +274,10 @@ class AttentionModel:
         self._add("inter.wqkv", self._qkv(rng, 1), decay=True)
         self._add("blend.alpha", np.zeros((1, 1)), decay=False)
         self._add("cat.w", self._matrix(rng, (2 * d, d), 2 * d), decay=True)
-        mh_qkv = self._qkv(rng, cfg.heads)
         if cfg.enabled("inter"):
-            self._add("mh.wqkv", mh_qkv, decay=True)
-        else:  # frame-local: only the value third is read
-            self._add("mh.wv", mh_qkv[:, 2 * d :].copy(), decay=True)
+            self._add("mh.wqkv", self._qkv(rng, cfg.heads), decay=True)
+        else:  # frame-local, so headless: one head's value third, at any heads
+            self._add("mh.wv", self._qkv(rng, 1)[:, 2 * d :].copy(), decay=True)
         self._add("mh.wo", self._matrix(rng, (d, d), d), decay=True)
         self._add("gate.wg", self._matrix(rng, (d, d), d), decay=True)
         self._add("gate.bg", np.zeros((1, d)), decay=False)

@@ -31,10 +31,10 @@ values and gradients are bit-identical to that graph's.  The exception is
 ``conv1d_relu``: its dW and dx are one matmul each, and its Winograd path
 (see there) computes values too from transformed tiles, so both agree with
 the per-tap graph to within 1e-12 of their largest magnitude (measured:
-5e-15 for values and all three gradients).  The ops those composed graphs
-need besides the ones here (``transpose``, ``reshape``, ``getitem``,
-``tanh``, ``relu``, ``sigmoid`` and ``softmax``) live with the tests, in
-``tests/reference_ops.py``.
+4.4e-14 at most, for values and all three gradients).  The ops those
+composed graphs need besides the ones here (``transpose``, ``reshape``,
+``getitem``, ``tanh``, ``relu``, ``sigmoid`` and ``softmax``) live with the
+tests, in ``tests/reference_ops.py``.
 
 Broadcasting follows numpy; the backward side sums gradients over broadcast
 dimensions.  Everything is float64: at the sizes this package targets the
@@ -573,73 +573,82 @@ def _winograd_transforms(points: Sequence[float], m: int, r: int) -> tuple[Array
     return a_t, g, b_t
 
 
-_WINO_AT, _WINO_G, _WINO_BT = _winograd_transforms((0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5), 4, 5)
+_WINO_POINTS = (0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 1.5, -1.5, 0.75, -0.75)
+_WINO_AT, _WINO_G, _WINO_BT = _winograd_transforms(_WINO_POINTS, 8, 5)
 
 
 def _to_phases(a: Array, phases: Array) -> None:
-    """phases (4, B, tiles, C)[j, :, i] = a (B, T, C)[:, 4i + j], 0 past T."""
+    """phases (m, B, tiles, C)[j, :, i] = a (B, T, C)[:, m*i + j], 0 past T."""
+    m = phases.shape[0]
     batch, steps, c = a.shape
-    full, rest = divmod(steps, 4)
-    phases[:, :, :full] = a[:, : 4 * full].reshape(batch, full, 4, c).transpose(2, 0, 1, 3)
+    full, rest = divmod(steps, m)
+    phases[:, :, :full] = a[:, : m * full].reshape(batch, full, m, c).transpose(2, 0, 1, 3)
     if rest:
-        phases[:rest, :, full] = a[:, 4 * full :].transpose(1, 0, 2)
+        phases[:rest, :, full] = a[:, m * full :].transpose(1, 0, 2)
         phases[rest:, :, full] = 0.0
 
 
 def _from_phases(phases: Array, shape: tuple[int, int, int]) -> Array:
     """The inverse of ``_to_phases``: a new (B, T, C) array from ``phases``."""
+    m = phases.shape[0]
     batch, steps, c = shape
-    full, rest = divmod(steps, 4)
+    full, rest = divmod(steps, m)
     a = np.empty(shape)
-    a[:, : 4 * full].reshape(batch, full, 4, c)[...] = phases[:, :, :full].transpose(1, 2, 0, 3)
+    a[:, : m * full].reshape(batch, full, m, c)[...] = phases[:, :, :full].transpose(1, 2, 0, 3)
     if rest:
-        a[:, 4 * full :] = phases[:rest, :, full].transpose(1, 0, 2)
+        a[:, m * full :] = phases[:rest, :, full].transpose(1, 0, 2)
     return a
 
 
 def _conv_winograd(x: Tensor, w: Tensor, bias: Array) -> tuple[Array, Callable[[Array], None]]:
-    """relu(conv + bias) of ``conv1d_relu`` for 5 taps by Winograd F(4, 5):
-    time is cut into tiles of 4 outputs, tile i reading the 8 samples
-    4i - 2 .. 4i + 5.  With V the B^T-transformed tiles (8, B*tiles, Cin)
-    and U = G w (8, Cin, Cout), the products M = V @ U are 8 batched
+    """relu(conv + bias) of ``conv1d_relu`` for 5 taps by Winograd F(8, 5):
+    time is cut into tiles of 8 outputs, tile i reading the 12 samples
+    8i - 2 .. 8i + 9.  With V the B^T-transformed tiles (12, B*tiles, Cin)
+    and U = G w (12, Cin, Cout), the products M = V @ U are 12 batched
     matmuls and the outputs are A^T M.  The rule takes the masked output
     gradient back through the same transforms: dM = A dY, dW = G^T (V^T dM)
     and dx overlap-adds the tile gradients B (dM U^T).  Tiles are laid out
-    (8, B, tiles, Cin), so rows 2..5 are one strided copy of x, and bias and
-    ReLU run in place on the (4, B, tiles, Cout) A^T M before one copy out;
-    the rule moves its gradients the same way."""
+    (12, B, tiles, Cin), so rows 2..9 are one strided copy of x.  The bias
+    joins M's row for the point 1, an all-ones column of A^T, and ReLU runs
+    in place on the (8, B, tiles, Cout) A^T M before one copy out; the rule
+    moves its gradients the same way.  The last four points won a sweep on
+    the worst tile error over 3,000 draws, relative to |d|max * |g|max:
+    +-3/2, +-3/4 5.2e-14; +-3/2, +-2/3 5.8e-14; +-3, +-1/3 8.3e-14;
+    +-2/3, +-1/3 3.3e-13."""
     batch, steps, c_in = x.shape
     c_out = w.shape[2]
-    tiles_n = -(-steps // 4)
-    tiles = np.empty((8, batch, tiles_n, c_in))
-    # tile rows 2..5 read each sample once; rows 0, 1 repeat rows 4, 5 of
-    # the tile before and rows 6, 7 rows 2, 3 of the tile after
-    _to_phases(x.data, tiles[2:6])
+    tiles_n = -(-steps // 8)
+    tiles = np.empty((12, batch, tiles_n, c_in))
+    # tile rows 2..9 read each sample once; rows 0, 1 repeat rows 8, 9 of
+    # the tile before and rows 10, 11 rows 2, 3 of the tile after
+    _to_phases(x.data, tiles[2:10])
     tiles[0:2, :, 0] = 0.0
-    tiles[0:2, :, 1:] = tiles[4:6, :, :-1]
-    tiles[6:8, :, -1] = 0.0
-    tiles[6:8, :, :-1] = tiles[2:4, :, 1:]
-    v = (_WINO_BT @ tiles.reshape(8, -1)).reshape(8, -1, c_in)
+    tiles[0:2, :, 1:] = tiles[8:10, :, :-1]
+    tiles[10:12, :, -1] = 0.0
+    tiles[10:12, :, :-1] = tiles[2:4, :, 1:]
+    v = (_WINO_BT @ tiles.reshape(12, -1)).reshape(12, -1, c_in)
     del tiles  # neither the rest of the forward nor the rule reads it
-    u = (_WINO_G @ w.data.reshape(5, -1)).reshape(8, c_in, c_out)
-    y_tiles = (_WINO_AT @ (v @ u).reshape(8, -1)).reshape(4, batch, tiles_n, c_out)
-    y_tiles += bias
+    u = (_WINO_G @ w.data.reshape(5, -1)).reshape(12, c_in, c_out)
+    prods = v @ u
+    prods[_WINO_POINTS.index(1.0)] += bias
+    y_tiles = (_WINO_AT @ prods.reshape(12, -1)).reshape(8, batch, tiles_n, c_out)
+    del prods
     np.maximum(y_tiles, 0.0, out=y_tiles)
     out = _from_phases(y_tiles, (batch, steps, c_out))
 
     def rule(g):
-        g_y = np.empty((4, batch, tiles_n, c_out))
+        g_y = np.empty((8, batch, tiles_n, c_out))
         _to_phases(g, g_y)
-        g_m = (_WINO_AT.T @ g_y.reshape(4, -1)).reshape(8, -1, c_out)
+        g_m = (_WINO_AT.T @ g_y.reshape(8, -1)).reshape(12, -1, c_out)
         if w.requires_grad:
             g_u = np.swapaxes(v, 1, 2) @ g_m
-            _acc(w, (_WINO_G.T @ g_u.reshape(8, -1)).reshape(w.data.shape))
+            _acc(w, (_WINO_G.T @ g_u.reshape(12, -1)).reshape(w.data.shape))
         if x.requires_grad:
             g_v = g_m @ np.swapaxes(u, 1, 2)
-            g_tiles = (_WINO_BT.T @ g_v.reshape(8, -1)).reshape(8, batch, tiles_n, c_in)
-            g_tiles[4:6, :, :-1] += g_tiles[0:2, :, 1:]
-            g_tiles[2:4, :, 1:] += g_tiles[6:8, :, :-1]
-            _acc(x, _from_phases(g_tiles[2:6], x.data.shape))
+            g_tiles = (_WINO_BT.T @ g_v.reshape(12, -1)).reshape(12, batch, tiles_n, c_in)
+            g_tiles[8:10, :, :-1] += g_tiles[0:2, :, 1:]
+            g_tiles[2:4, :, 1:] += g_tiles[10:12, :, :-1]
+            _acc(x, _from_phases(g_tiles[2:10], x.data.shape))
 
     return out, rule
 
@@ -649,29 +658,31 @@ def conv1d_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     with w (k, Cin, Cout), odd k, plus bias b (1, 1, Cout), to (B, T, Cout):
     out[:, t] = relu(b + sum_j x[:, t + j - (k - 1) // 2] @ w[j]).
 
-    One node with two paths, chosen from the shapes.  Winograd F(4, 5)
-    (``_conv_winograd``) takes k = 5 with Cin >= 8 and 2 * Cin >= Cout; it
-    spends 8 multiplies per 4 outputs where im2col spends 20, so at d_model
-    128, B 128 and T 24 a block's matmuls are 201 MFLOP per pass instead of
-    503, plus about 19 MFLOP of transforms.  im2col (Chellapilla et al.,
+    One node with two paths, chosen from the shapes.  Winograd F(8, 5)
+    (``_conv_winograd``) takes k = 5 with Cin >= 8 and 4 * Cin >= Cout; it
+    spends 12 multiplies per 8 outputs where im2col spends 40, so at d_model
+    128, B 128 and T 24 a block's matmuls are 151 MFLOP per pass instead of
+    503, plus about 25 MFLOP of transforms.  im2col (Chellapilla et al.,
     2006; ``_conv_im2col``) takes every other shape: one (B*T, k*Cin) @
     (k*Cin, Cout) matmul, with the bias and activation fused in as in cuDNN
     (Chetlur et al., 2014).  The rule masks the output gradient by out > 0,
     sums it for the bias and hands it to the path's own dW and dx.
 
     The choice follows one block's no-grad forward at T 24 (ms, im2col vs
-    Winograd, 2 BLAS threads): B 128, 3 -> 128: 1.2 vs 4.7; B 128,
-    16 -> 128: 2.8 vs 4.1; B 32, 32 -> 32: 0.43 vs 0.28; B 128,
-    128 -> 128: 14.9 vs 10.5.  With few input channels the tile transforms
-    outweigh the saved multiplies.  At 8 to 16 channels and B <= 32 the
-    paths differ by about 0.1 ms, and the bound at 8 keeps small checked
-    models (d_model 8) on the default model's path: the first block, on the
-    raw sensor channels, runs on im2col and every later block on Winograd.
+    Winograd, 2 BLAS threads; backward in brackets): B 128, 3 -> 128: 0.71
+    vs 1.44 (2.35 vs 1.27); B 128, 16 -> 128: 1.31 vs 1.58 (3.03 vs 1.59);
+    B 128, 32 -> 128: 1.95 vs 1.68 (4.14 vs 2.10); B 32, 32 -> 32: 0.24 vs
+    0.14 (0.39 vs 0.20); B 128, 128 -> 128: 7.2 vs 3.5 (11.3 vs 5.4).  With
+    few input channels the tile transforms outweigh the saved multiplies;
+    at B 128, 8 -> 32 and 16 -> 64 the forwards are within 5 %.  The bound
+    at 8 keeps small checked models (d_model 8) on the default model's
+    path: the first block, on the raw sensor channels, runs on im2col and
+    every later block on Winograd.
 
     For backward, im2col keeps its columns (B*T, k*Cin) and Winograd its
-    transformed input tiles (8, B*ceil(T/4), Cin): 15.7 and 6.3 MB per block
-    at d_model 128, B 128.  All other arrays are per call, and their freed
-    pages are reused under ``_keep_freed_memory``'s allocator policy."""
+    transformed input tiles (12, B*ceil(T/8), Cin): 15.7 and 4.7 MB per
+    block at d_model 128, B 128.  All other arrays are per call, and their
+    freed pages are reused under ``_keep_freed_memory``'s allocator policy."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if (
         x.ndim != 3
@@ -685,7 +696,7 @@ def conv1d_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"b (1, 1, Cout), got {x.shape}, {w.shape} and {b.shape}"
         )
     k, c_in, c_out = w.shape
-    winograd = k == 5 and c_in >= 8 and 2 * c_in >= c_out
+    winograd = k == 5 and c_in >= 8 and 4 * c_in >= c_out
     out, conv_rule = (_conv_winograd if winograd else _conv_im2col)(x, w, b.data[0, 0])
 
     def rule(g):

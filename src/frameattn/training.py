@@ -30,7 +30,7 @@ from .tensor import Tensor
 
 # v3: only the parameters of the stages a model runs, and each expert's two
 # layers packed as moe.w and moe.b (v2 kept moe.w1/b1/w2/b2 and every stage).
-# A frame-local cell (inter off) holds mh.wv, the value third of mh.wqkv; an
+# A frame-local cell (inter off) holds mh.wv, its value projection; an
 # older v3 file of such a cell holds mh.wqkv, and load_state refuses it
 # naming both.
 CHECKPOINT_MAGIC = "FRAMEATTN v3"

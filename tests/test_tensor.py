@@ -229,7 +229,7 @@ def every_op_cases(seed):
     conv_b = Tensor(rng.normal(size=(1, 1, 2)))
     conv_b1 = Tensor(rng.normal(size=(1, 1, 1)))
     conv_x2, conv_w2 = Tensor(rng.normal(size=(2, 3, 2))), Tensor(rng.normal(size=(3, 2, 35)))
-    # Winograd shapes (k 5, Cin 9 >= 8, 2 * Cin >= Cout 7), T 5 and 7 cut
+    # Winograd shapes (k 5, Cin 9 >= 8, 4 * Cin >= Cout 7), T 5 and 7 cut
     # into a partial last tile
     wino_x, wino_w = Tensor(rng.normal(size=(2, 7, 9))), Tensor(rng.normal(size=(5, 9, 7)))
     wino_b, wino_pad = Tensor(rng.normal(size=(1, 1, 7))), Tensor(rng.normal(size=(1, 5, 2)))
@@ -505,13 +505,14 @@ def test_conv1d_relu_matches_composed_graph(batch, steps, c_in, c_out, k, seed):
 @settings(max_examples=60, deadline=None)
 @given(
     batch=st.integers(1, 4),
-    steps=st.integers(1, 9),
+    # 1 to 4 tiles of 8, every length mod 8 through the halo joins
+    steps=st.integers(1, 26),
     c_in=st.integers(8, 12),
-    c_out=st.integers(4, 16),
+    c_out=st.integers(4, 32),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_conv1d_relu_winograd_matches_composed_graph(batch, steps, c_in, c_out, seed):
-    # k 5, Cin >= 8 and 2 * Cin >= Cout take the Winograd path, whose
+    # k 5, Cin >= 8 and 4 * Cin >= Cout take the Winograd path, whose
     # transforms round differently from the composed graph's matmul
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=s) for s in ((batch, steps, c_in), (5, c_in, c_out), (1, 1, c_out))]
@@ -527,15 +528,16 @@ def test_conv1d_relu_winograd_matches_composed_graph(batch, steps, c_in, c_out, 
 
 
 def test_winograd_transforms_give_the_5_tap_correlation():
-    # A^T [(G g) * (B^T d)] over an 8-sample tile d is its 4 outputs
-    # y_i = sum_j d[i + j] g[j]
+    # A^T [(G g) * (B^T d)] over a 12-sample tile d is its 8 outputs
+    # y_i = sum_j d[i + j] g[j]; the worst case over these 2,000 draws is
+    # 4.0e-14 (5.2e-14 with seed 0)
     rng = np.random.default_rng(17)
-    assert (T._WINO_AT.shape, T._WINO_G.shape, T._WINO_BT.shape) == ((4, 8), (8, 5), (8, 8))
-    for _ in range(100):
-        d, g = rng.normal(size=8), rng.normal(size=5)
-        direct = np.array([d[i : i + 5] @ g for i in range(4)])
+    assert (T._WINO_AT.shape, T._WINO_G.shape, T._WINO_BT.shape) == ((8, 12), (12, 5), (12, 12))
+    for _ in range(2000):
+        d, g = rng.normal(size=12), rng.normal(size=5)
+        direct = np.array([d[i : i + 5] @ g for i in range(8)])
         got = T._WINO_AT @ ((T._WINO_G @ g) * (T._WINO_BT @ d))
-        assert np.abs(got - direct).max() <= 1e-14 * np.abs(d).max() * np.abs(g).max()
+        assert np.abs(got - direct).max() <= 1e-13 * np.abs(d).max() * np.abs(g).max()
 
 
 @pytest.mark.parametrize(
