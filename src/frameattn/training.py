@@ -22,7 +22,7 @@ import numpy as np
 from . import tensor as T
 from .batching import STRATEGIES, TIME_SEQUENTIAL, build_plan, canonical_batches
 from .data import Frame
-from .errors import CheckpointError, ConfigError, NumericError, ShapeError
+from .errors import CheckpointError, ConfigError, NumericError
 from .losses import LossConfig, MetricsAccumulator, combined_loss
 from .model import AttentionModel, ModelConfig
 from .seeding import TAG_DROPOUT, mix64
@@ -75,7 +75,9 @@ class AdamW:
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * theta,
     decay applied only to parameters in ``decay_keys`` (matrices, not biases
     or the blend logit).  The moment decays and eps are Adam's defaults.
-    """
+    One store: values, gradients, ``m`` and ``v`` are flat vectors, the
+    ``decay_keys`` parameters first, and each parameter's ``.data`` and
+    ``.grad`` are views of its slice."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -86,36 +88,34 @@ class AdamW:
         lr: float = 1e-3,
         weight_decay: float = 0.0,
     ):
-        self.params = params
-        self.decay_keys = decay_keys
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        order = [p for k, p in params.items() if k in decay_keys]
+        self.decayed = sum(p.data.size for p in order)
+        order += [p for k, p in params.items() if k not in decay_keys]
+        self.data = np.concatenate([p.data.ravel() for p in order])
+        self.grad = np.concatenate([p.grad.ravel() for p in order])
+        self.m, self.v = np.zeros_like(self.data), np.zeros_like(self.data)
+        ends = np.cumsum([p.data.size for p in order])[:-1]
+        for p, data, grad in zip(order, np.split(self.data, ends), np.split(self.grad, ends)):
+            p.data, p.grad = data.reshape(p.data.shape), grad.reshape(p.data.shape)
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+        self.grad.fill(0.0)
 
     def step(self) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for name, p in self.params.items():
-            g = p.grad
-            if g.shape != p.data.shape:
-                raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay and name in self.decay_keys:
-                update = update + self.lr * self.weight_decay * p.data
-            p.data -= update
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * self.grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * self.grad * self.grad
+        update = self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        if self.weight_decay:
+            update[: self.decayed] += self.lr * self.weight_decay * self.data[: self.decayed]
+        self.data -= update
 
 
 class PlateauScheduler:
@@ -257,7 +257,7 @@ def checkpoint_save(arrays: dict[str, np.ndarray], path: str | Path) -> None:
                 extents = " ".join(str(e) for e in arr.shape)
                 header = f"{name} {arr.ndim}" + (f" {extents}" if extents else "") + "\n"
                 fh.write(header.encode("ascii"))
-                fh.write(arr.astype("<f8").tobytes(order="C"))
+                fh.write(np.ascontiguousarray(arr, dtype="<f8"))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -328,7 +328,8 @@ def train(
     """Optimize for ``cfg.epochs`` epochs, checkpoint the best-validation-F1
     parameters, and evaluate that checkpoint on the test split.
 
-    Appends one metrics record per (epoch, split) to metrics.jsonl; aborts
+    Appends one metrics record per (epoch, split) to metrics.jsonl, each
+    line flushed as it is written, so a killed run keeps them; aborts
     with NumericError (epoch, batch, lr in the message) on a non-finite loss
     or parameter gradient, before the update.
     """
@@ -339,12 +340,7 @@ def train(
     plans_path = out / "plans.jsonl"
 
     model = AttentionModel(model_cfg, seed=cfg.seed)
-    opt = AdamW(
-        model.params,
-        model.decay_keys,
-        lr=cfg.lr,
-        weight_decay=cfg.weight_decay,
-    )
+    opt = AdamW(model.params, model.decay_keys, lr=cfg.lr, weight_decay=cfg.weight_decay)
     sched = PlateauScheduler(cfg.lr, cfg.plateau_patience, cfg.lr_factor, cfg.min_lr)
     drop_rng = np.random.default_rng(mix64(cfg.seed, TAG_DROPOUT))
 
@@ -365,8 +361,8 @@ def train(
         history.append(rec)
         mfh.write(json.dumps(rec) + "\n")
 
-    plans_cm = open(plans_path, "w") if dump_plans else contextlib.nullcontext()
-    with open(metrics_path, "w") as mfh, plans_cm as pfh:
+    plans_cm = open(plans_path, "w", buffering=1) if dump_plans else contextlib.nullcontext()
+    with open(metrics_path, "w", buffering=1) as mfh, plans_cm as pfh:
         for epoch in range(cfg.epochs):
             plan = build_plan(cfg.strategy, train_frames, cfg.batch_size, cfg.seed, epoch)
             if dump_plans:
@@ -384,12 +380,12 @@ def train(
                     )
                 opt.zero_grad()
                 T.backward(loss)
-                for name, p in model.params.items():
-                    if not np.isfinite(p.grad).all():
-                        raise NumericError(
-                            f"non-finite gradient of '{name}' at epoch {epoch}, batch {b}, "
-                            f"lr {opt.lr:g}"
-                        )
+                if not np.isfinite(opt.grad).all():
+                    name = next(k for k, p in model.params.items() if not np.isfinite(p.grad).all())
+                    raise NumericError(
+                        f"non-finite gradient of '{name}' at epoch {epoch}, batch {b}, "
+                        f"lr {opt.lr:g}"
+                    )
                 if cfg.clip_norm > 0:
                     clip_gradients(model.params, cfg.clip_norm)
                 opt.step()

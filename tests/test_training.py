@@ -102,21 +102,29 @@ def test_adamw_with_zero_decay_matches_plain_adam_oracle():
         m_hat = m / (1 - 0.9**t)
         v_hat = v / (1 - 0.999**t)
         ref -= 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
-        p["w"].zero_grad()
+        opt.zero_grad()
     np.testing.assert_allclose(p["w"].data, ref, atol=1e-12)
 
 
-def reference_adamw_step(opt, params, m, v, t):
-    """One step of the AdamW formula, written out of place on copies."""
+def reference_adamw_step(opt, params, decay_keys, m, v, t):
+    """One step of the AdamW formula, per parameter and out of place on copies."""
     bc1, bc2 = 1.0 - opt.beta1**t, 1.0 - opt.beta2**t
     for name, p in params.items():
         g = p.grad
         m[name] = m[name] * opt.beta1 + (1.0 - opt.beta1) * g
         v[name] = v[name] * opt.beta2 + (1.0 - opt.beta2) * g * g
         update = opt.lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + opt.eps)
-        if opt.weight_decay and name in opt.decay_keys:
+        if opt.weight_decay and name in decay_keys:
             update = update + opt.lr * opt.weight_decay * p.data
         p.data -= update
+
+
+def store_slices(params, decay_keys):
+    """Each parameter's slice of the optimizer's flat vectors: the decayed
+    parameters first, each group in dict order."""
+    order = [k for k in params if k in decay_keys] + [k for k in params if k not in decay_keys]
+    bounds = np.cumsum([0] + [params[k].data.size for k in order])
+    return {k: slice(a, b) for k, a, b in zip(order, bounds[:-1], bounds[1:])}
 
 
 def test_adamw_in_place_step_is_bit_identical_to_the_formula():
@@ -130,11 +138,39 @@ def test_adamw_in_place_step_is_bit_identical_to_the_formula():
         for name, p in m.params.items():
             p.grad[...] = ref.params[name].grad[...] = rng.normal(size=p.data.shape)
         opt.step()
-        reference_adamw_step(opt, ref.params, *moments, t)
-    for name, p in m.params.items():
-        np.testing.assert_array_equal(p.data, ref.params[name].data, err_msg=name)
-        np.testing.assert_array_equal(opt.m[name], moments[0][name], err_msg=name)
-        np.testing.assert_array_equal(opt.v[name], moments[1][name], err_msg=name)
+        reference_adamw_step(opt, ref.params, ref.decay_keys, *moments, t)
+    for name, at in store_slices(m.params, m.decay_keys).items():
+        np.testing.assert_array_equal(m.params[name].data, ref.params[name].data, err_msg=name)
+        np.testing.assert_array_equal(opt.m[at], moments[0][name].ravel(), err_msg=name)
+        np.testing.assert_array_equal(opt.v[at], moments[1][name].ravel(), err_msg=name)
+
+
+def test_adamw_parameters_are_views_of_its_store():
+    # after a step and after load_state, every parameter's value and gradient
+    # are its slice of the flat vectors, decayed parameters first
+    m = small_model()
+    opt = AdamW(m.params, m.decay_keys, lr=1e-3, weight_decay=1e-2)
+    slices = store_slices(m.params, m.decay_keys)
+    assert opt.decayed == sum(m.params[k].data.size for k in m.decay_keys)
+    assert opt.data.size == opt.grad.size == opt.m.size == opt.v.size == max(
+        at.stop for at in slices.values()
+    )
+
+    def check():
+        for name, p in m.params.items():
+            assert np.shares_memory(p.data, opt.data) and np.shares_memory(p.grad, opt.grad)
+            np.testing.assert_array_equal(opt.data[slices[name]], p.data.ravel(), err_msg=name)
+            np.testing.assert_array_equal(opt.grad[slices[name]], p.grad.ravel(), err_msg=name)
+
+    trace = m.forward(np.random.default_rng(0).normal(size=(4, 16, 3)), training=True)
+    opt.zero_grad()
+    T.backward(combined_loss(trace.logits, np.arange(4), LossConfig()))
+    assert np.abs(opt.grad).sum() > 0
+    opt.step()
+    check()
+    m.load_state(small_model(seed=5).state_arrays())
+    check()
+    np.testing.assert_array_equal(m.params["cls.w"].data, small_model(seed=5).params["cls.w"].data)
 
 
 # gradient clipping
@@ -217,8 +253,16 @@ def test_train_config_rejects_min_lr_above_lr():
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     m = small_model(seed=3)
     path = tmp_path / "ck.bin"
-    checkpoint_save(m.state_arrays(), path)
+    # a big-endian and a transposed record are written in row-major little-endian
+    values = np.arange(12.0).reshape(3, 4) - 5.5
+    extra = {"be": values.astype(">f8"), "tr": values.T}
+    checkpoint_save({**m.state_arrays(), **extra}, path)
     loaded = checkpoint_load(path)
+    for name, arr in extra.items():
+        got = loaded.pop(name)
+        assert got.dtype == "<f8" and got.shape == arr.shape
+        assert got.tobytes() == np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    assert path.read_bytes().endswith(values.T.copy().tobytes())
     frames = np.random.default_rng(0).normal(size=(3, 16, 3))
     before = m.forward(frames).logits.data.copy()
     m2 = small_model(seed=99)  # different init, then overwritten
@@ -386,11 +430,7 @@ def test_evaluate_does_not_mutate_params_or_optimizer():
     params_before = {k: v.data.tobytes() for k, v in m.params.items()}
 
     def opt_state():
-        return (
-            opt.t,
-            {k: a.tobytes() for k, a in opt.m.items()},
-            {k: a.tobytes() for k, a in opt.v.items()},
-        )
+        return opt.t, opt.m.tobytes(), opt.v.tobytes()
 
     opt_before = opt_state()
     evaluate(m, splits.val, 16, LossConfig(), splits.classes)
@@ -584,6 +624,30 @@ def test_train_emits_one_record_per_epoch_per_split(tmp_path):
         assert set(r) == {"epoch", "split", "mean_f1", "per_class_f1", "loss", "strategy"}
 
 
+def test_train_records_are_on_disk_before_the_next_epoch(tmp_path, monkeypatch):
+    # a killed run loses at most the epoch it was in: when an epoch's
+    # validation pass starts, its train record and plan are already in the files
+    seen = []
+    clean_evaluate = training.evaluate
+
+    def spying_evaluate(model, frames, *args):
+        if frames is splits.val:
+            seen.append([
+                [json.loads(line) for line in (tmp_path / name).read_text().splitlines()]
+                for name in ("metrics.jsonl", "plans.jsonl")
+            ])
+        return clean_evaluate(model, frames, *args)
+
+    monkeypatch.setattr(training, "evaluate", spying_evaluate)
+    splits = small_splits()
+    train(model_config(), splits.train, splits.val, splits.test, train_config(epochs=3), tmp_path,
+          dump_plans=True)
+    assert len(seen) == 3
+    for epoch, (records, plans) in enumerate(seen):
+        assert len(records) == 2 * epoch + 1 and len(plans) == epoch + 1
+        assert (records[-1]["epoch"], records[-1]["split"]) == (epoch, "train")
+
+
 def test_train_fixed_seed_reproduces_metrics_bytes(tmp_path):
     splits = small_splits()
     for run in ("a", "b"):
@@ -619,7 +683,7 @@ def test_train_clips_the_global_gradient_norm(tmp_path, monkeypatch):
 
     class RecordedAdamW(AdamW):
         def step(self):
-            norms.append(sum(float((p.grad**2).sum()) for p in self.params.values()) ** 0.5)
+            norms.append(float((self.grad**2).sum()) ** 0.5)
             super().step()
 
     monkeypatch.setattr(training, "AdamW", RecordedAdamW)
@@ -634,32 +698,31 @@ def test_train_rejects_non_finite_gradient_before_update(tmp_path, monkeypatch):
     opts, before = [], []
 
     class RecordedAdamW(AdamW):
-        def __init__(self, *args, **kw):
-            super().__init__(*args, **kw)
+        def __init__(self, params, *args, **kw):
+            super().__init__(params, *args, **kw)
+            self.params = params
             opts.append(self)
 
     def state(opt):
-        return (
-            opt.t,
-            {k: p.data.tobytes() for k, p in opt.params.items()},
-            {k: a.tobytes() for k, a in opt.m.items()},
-            {k: a.tobytes() for k, a in opt.v.items()},
-        )
+        return opt.t, opt.data.tobytes(), opt.m.tobytes(), opt.v.tobytes()
 
     clean_backward = T.backward
 
     def poisoned_backward(loss):
         clean_backward(loss)
-        if opts[0].t == 2:
-            before.append(state(opts[0]))
-            opts[0].params["moe.w"].grad[0, 1, 0, 0] = np.nan
+        if opts[-1].t == 2:
+            before.append(state(opts[-1]))
+            opts[-1].params[name].grad[index] = np.nan
 
     monkeypatch.setattr(training, "AdamW", RecordedAdamW)
     monkeypatch.setattr(T, "backward", poisoned_backward)
     splits = small_splits()
-    with pytest.raises(NumericError, match=r"'moe.w' at epoch 0, batch 2, lr 0.001"):
-        train(model_config(), splits.train, splits.val, splits.test, train_config(), tmp_path)
-    assert state(opts[0]) == before[0]
+    # a decayed parameter, and a bias, which the store keeps after them
+    for name, index in (("moe.w", (0, 1, 0, 0)), ("cls.b", (0, 1))):
+        with pytest.raises(NumericError, match=rf"'{name}' at epoch 0, batch 2, lr 0.001"):
+            train(model_config(), splits.train, splits.val, splits.test, train_config(),
+                  tmp_path / name)
+        assert state(opts[-1]) == before[-1]
 
 
 def test_train_step_and_no_grad_forward_leave_no_cyclic_garbage():
