@@ -57,11 +57,7 @@ from .data import (
 )
 from .errors import CheckpointError, ConfigError, DataError, FrameAttnError, NumericError
 from .losses import LossConfig
-from .model import (
-    AttentionModel,
-    ModelConfig,
-    parameter_gradcheck_report,
-)
+from .model import AttentionModel, ModelConfig, parameter_gradcheck_report
 from .training import TrainConfig, TrainResult, checkpoint_load, evaluate, train
 
 GRADCHECK_TOLERANCE = 1e-6

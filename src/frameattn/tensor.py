@@ -732,10 +732,11 @@ def _released(g: Array) -> None:
 def backward(loss: Tensor) -> None:
     """Add the gradient of ``loss`` into every leaf reachable from it.
 
-    ``loss`` must be a scalar.  Gradients add onto whatever is already in the
-    leaf buffers, so callers zero parameter grads between steps.  Once its
-    rule has run, an intermediate drops its ``grad``, rule and parents, so
-    what the rule kept is freed and a second walk raises FrameAttnError.
+    ``loss`` must be a scalar.  Gradients add onto what the leaf buffers
+    hold, so callers zero parameter grads between steps.  The walk holds only
+    recorded nodes; a leaf gets its gradient from its consumers' rules.  Once
+    its rule has run, a node drops its ``grad``, rule and parents, freeing
+    what the rule kept, so a second walk raises FrameAttnError.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: expected scalar loss, got shape {loss.shape}")
@@ -743,14 +744,14 @@ def backward(loss: Tensor) -> None:
         return
 
     order: list[Tensor] = []
-    seen: set[int] = {id(loss)}
-    stack: list[tuple[Tensor, int]] = [(loss, 0)]
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, int]] = [(loss, 0)] if loss._rule is not None else []
     while stack:
         node, i = stack[-1]
         if i < len(node._parents):
             stack[-1] = (node, i + 1)
             parent = node._parents[i]
-            if parent.requires_grad and id(parent) not in seen:
+            if parent._rule is not None and id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append((parent, 0))
         else:
@@ -760,9 +761,8 @@ def backward(loss: Tensor) -> None:
     _acc(loss, np.ones_like(loss.data))
     while order:
         node = order.pop()
-        if node._rule is not None:
-            node._rule(node.grad)
-            node.grad, node._rule, node._parents = None, _released, ()
+        node._rule(node.grad)
+        node.grad, node._rule, node._parents = None, _released, ()
 
 
 # Step of the central differences in ``gradient_error``.

@@ -144,15 +144,12 @@ class PlateauScheduler:
         return self.lr
 
 
-def clip_gradients(params: dict[str, Tensor], max_norm: float) -> None:
-    total = 0.0
-    for p in params.values():
-        total += float((p.grad * p.grad).sum())
-    norm = total**0.5
+def clip_gradients(grad: np.ndarray, max_norm: float) -> None:
+    """Scale the flat ``grad`` in place to norm ``max_norm`` if above it; 0
+    disables.  A pairwise sum, not ``grad @ grad``: ddot varies with threads."""
+    norm = float((grad * grad).sum()) ** 0.5
     if norm > max_norm > 0:
-        scale = max_norm / norm
-        for p in params.values():
-            p.grad *= scale
+        grad *= max_norm / norm
 
 
 def _gather(frames: Sequence[Frame], indices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -161,9 +158,8 @@ def _gather(frames: Sequence[Frame], indices: Sequence[int]) -> tuple[np.ndarray
     return data, labels
 
 
-# The smallest eval pass that runs on concurrent workers: its batches, and
-# the entries of one batch's (frames, window, d_model) feature map; see
-# ``evaluate``.
+# The smallest eval pass that runs on workers (see ``evaluate``): its
+# batches, and the entries of one batch's (frames, window, d_model) map.
 CONCURRENT_MIN_BATCHES = 16
 CONCURRENT_MIN_FEATURES = 196_608
 
@@ -174,7 +170,13 @@ def _batch_map(concurrent: bool):
     order.  With ``concurrent`` and a known BLAS thread count W > 1, it runs
     them on W worker threads with BLAS held at 1 thread per call; on leaving,
     pending jobs are cancelled, running ones waited for, and the count put
-    back.  Otherwise it is ``map``, on the calling thread."""
+    back.  Otherwise it is ``map``, on the calling thread.
+
+    Measured against the alternatives on 2 cores: an eval_long-size pass read
+    9,556 frames/s on workers at 1 BLAS thread and 5,886 at 2 (medians of 6).
+    Every pass of >= 2 large batches on workers raised train_default's peak
+    RSS from 129 to 171 MB (per-thread malloc arenas); one arena
+    (M_ARENA_MAX 1) kept it flat at 15 % fewer eval frames/s."""
     hooks = T.blas_threads() if concurrent else None
     workers = hooks[0]() if hooks else 1
     if workers < 2:
@@ -201,12 +203,11 @@ def evaluate(
 
     The batches share no state.  A pass of at least CONCURRENT_MIN_BATCHES
     batches, each with a feature map (frames x window x d_model) of at least
-    CONCURRENT_MIN_FEATURES entries, runs them on as many worker threads as
-    BLAS had threads, with each BLAS call on one thread, and takes their
-    results in batch order.  A forward's logits do not depend on the BLAS
-    thread count, so loss and counts are bit-identical to one worker's.
-    Any other pass, or one where ``tensor.blas_threads`` finds no OpenBLAS,
-    runs on the calling thread and leaves BLAS as it is.
+    CONCURRENT_MIN_FEATURES entries, runs on ``_batch_map``'s workers, so its
+    loss and counts equal the calling thread's at 1 BLAS thread.  Any other
+    pass runs on the calling thread with BLAS as it is; at d128 its logits
+    then differ between 1 and 2 BLAS threads at some batch sizes (B 100, 121
+    and 127 on one OpenBLAS build; ROADMAP item 15).
 
     The rule is where the workers paid on 2 cores at 2 BLAS threads: the
     pass time on workers over that on the calling thread, median of 5
@@ -220,7 +221,8 @@ def evaluate(
     (d16/B512, d32/B256, d64/B128, d128/B64, d128/B128), 0.92-0.98 at
     98,304 (d32/B128, d64/B64, d128/B32), 0.97-0.99 below (d16/B128,
     d32/B32).  Small batches are mostly interpreter work, which one thread
-    runs at a time."""
+    runs at a time.  The feature-map clause keeps a desk run's 16-batch
+    d32/B32 validation pass on the calling thread."""
     batches = canonical_batches(frames, batch_size)
 
     def run(batch: tuple[int, ...]) -> tuple[float, np.ndarray, np.ndarray]:
@@ -361,6 +363,7 @@ def train(
         history.append(rec)
         mfh.write(json.dumps(rec) + "\n")
 
+    plans_path.unlink(missing_ok=True)  # a reused run directory keeps no stale plans
     plans_cm = open(plans_path, "w", buffering=1) if dump_plans else contextlib.nullcontext()
     with open(metrics_path, "w", buffering=1) as mfh, plans_cm as pfh:
         for epoch in range(cfg.epochs):
@@ -387,7 +390,7 @@ def train(
                         f"lr {opt.lr:g}"
                     )
                 if cfg.clip_norm > 0:
-                    clip_gradients(model.params, cfg.clip_norm)
+                    clip_gradients(opt.grad, cfg.clip_norm)
                 opt.step()
                 loss_sum += value * len(batch)
                 acc.update(trace.logits.data.argmax(axis=1), labels)

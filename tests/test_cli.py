@@ -309,6 +309,16 @@ def test_train_dump_plan_writes_partition(tmp_path, tiny_config, dataset):
         assert flat == list(range(n))
 
 
+def test_train_without_dump_plan_removes_a_previous_runs_plans(tmp_path, tiny_config, dataset):
+    # a run directory reused without --dump-plan holds no plans of the run before
+    run_dir = tmp_path / "run"
+    argv = ["train", "--config", tiny_config, "--data", dataset, "--out", str(run_dir)]
+    assert main([*argv, "--dump-plan"]) == 0
+    assert (run_dir / "plans.jsonl").is_file()
+    assert main([*argv, "--set", "train.batch_size=8"]) == 0
+    assert not (run_dir / "plans.jsonl").exists()
+
+
 def test_train_determinism_byte_identical_metrics(tmp_path, tiny_config, dataset):
     for name in ("a", "b"):
         assert main([

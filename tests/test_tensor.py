@@ -171,6 +171,14 @@ def test_backward_square_gives_two_x():
     np.testing.assert_allclose(x.grad, [6.0])
 
 
+def test_backward_of_a_leaf_gives_it_one():
+    # the walk holds no leaf, the loss included, so nothing but the seed runs
+    x = Tensor(3.0, requires_grad=True)
+    backward(x)
+    backward(x)
+    np.testing.assert_array_equal(x.grad, 2.0)
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
