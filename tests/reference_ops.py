@@ -7,6 +7,8 @@ the ones the package runs live here, built on the same ``T._node`` and
 would inside the package.  Each has a case in the every-op gradcheck.
 ``sigmoid_masked`` is a plain array function: the form of the package's
 stable sigmoid that its bit-identity test compares against.
+``composed_conv_relu`` is such a composed graph, kept here because both the
+conv op's tests and the backbone's chained-block test compare against it.
 """
 
 from __future__ import annotations
@@ -111,3 +113,14 @@ def softmax(a: Tensor, axis: int) -> Tensor:
         T._acc(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
     return T._node(y, (a,), rule)
+
+
+def composed_conv_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The per-tap slice, matmul, bias and ReLU graph ``T.conv1d_relu`` replaces."""
+    batch, steps, c_in = x.shape
+    k, _, c_out = w.shape
+    zeros = Tensor(np.zeros((batch, k // 2, c_in)))
+    xp = T.concat([zeros, x, zeros], axis=1)
+    cols = T.concat([getitem(xp, np.s_[:, j : j + steps, :]) for j in range(k)], axis=2)
+    out = reshape(cols, (batch * steps, k * c_in)) @ reshape(w, (k * c_in, c_out))
+    return relu(reshape(out, (batch, steps, c_out)) + b)

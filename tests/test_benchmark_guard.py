@@ -4,6 +4,12 @@
 committed tiny references at 1e-7 relative tolerance, and its traced mode
 wraps named model functions.  A hot-path change that moves those numbers, or
 renames a wrapped function, reports ``failed > 0`` here.
+
+The tiny eval_long pass is 6 batches, below ``CONCURRENT_MIN_BATCHES``, so
+``evaluate`` runs it on the calling thread.  Only the full-size eval_long
+runs of ``.github/workflows/tier1.yml``, untraced and traced, check the
+worker path and the tracer's replay of each stage at another BLAS thread
+count.
 """
 
 import json

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import reference_ops as R
 
 from frameattn import tensor as T
 from frameattn.cli import COMPONENT_CELLS
@@ -14,6 +15,7 @@ from frameattn.model import (
     AttentionModel,
     ModelConfig,
     apply_gate,
+    backbone_features,
     combine_attention,
     gate_values,
     inter_attention,
@@ -575,8 +577,6 @@ def test_default_size_parameter_counts():
 
 
 def test_gradcheck_through_backbone_input():
-    from frameattn.model import backbone_features
-
     m = AttentionModel(tiny_cfg(), seed=6)
     frames = Tensor(random_frames(2, seed=25))
 
@@ -585,6 +585,38 @@ def test_gradcheck_through_backbone_input():
         return T.tsum(feats * feats)
 
     assert gradcheck(f, frames) < 1e-6
+
+
+@pytest.mark.parametrize("d_model", [8, 16])
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("window", [5, 21, 24])
+def test_backbone_matches_chained_composed_conv_blocks(window, batch, d_model):
+    # 3 blocks: im2col on the raw channels, then two Winograd blocks.  At
+    # window 21 each Winograd block hands the next a strided slice of its
+    # whole-tile output, and at window 5 the window is one partial tile
+    cfg = tiny_cfg(window_len=window, d_model=d_model, conv_blocks=3, kernel=5)
+    rng = np.random.default_rng(window * 100 + batch * 10 + d_model)
+    frames = rng.normal(size=(batch, window, cfg.channels))
+    cot = Tensor(rng.normal(size=(batch, window, d_model)))
+
+    def chained(feats, params, cfg):
+        for i in range(cfg.conv_blocks):
+            feats = R.composed_conv_relu(
+                feats, params[f"backbone.conv{i}.w"], params[f"backbone.conv{i}.b"]
+            )
+        return feats
+
+    results = []
+    for blocks in (chained, backbone_features):
+        m = AttentionModel(cfg, seed=4)
+        feats = blocks(Tensor(frames), m.params, cfg)
+        backward(T.tsum(feats * cot))
+        names = [name for name in m.params if name.startswith("backbone.")]
+        results.append([feats.data, *(m.params[name].grad for name in names)])
+    assert len(names) == 2 * cfg.conv_blocks
+    for ref, got in zip(*results):
+        assert np.abs(ref).max() > 0.0
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def train_step_graph(m):

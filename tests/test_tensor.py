@@ -470,17 +470,6 @@ def test_conv1d_relu_matches_per_tap_loop(k):
     np.testing.assert_allclose(out.data, expect, rtol=1e-12, atol=1e-12)
 
 
-def composed_conv_relu(x, w, b):
-    """The per-tap slice, matmul, bias and ReLU graph ``T.conv1d_relu`` replaces."""
-    batch, steps, c_in = x.shape
-    k, _, c_out = w.shape
-    zeros = Tensor(np.zeros((batch, k // 2, c_in)))
-    xp = T.concat([zeros, x, zeros], axis=1)
-    cols = T.concat([R.getitem(xp, np.s_[:, j : j + steps, :]) for j in range(k)], axis=2)
-    out = R.reshape(cols, (batch * steps, k * c_in)) @ R.reshape(w, (k * c_in, c_out))
-    return R.relu(R.reshape(out, (batch, steps, c_out)) + b)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     batch=st.integers(1, 4),
@@ -499,7 +488,7 @@ def test_conv1d_relu_matches_composed_graph(batch, steps, c_in, c_out, k, seed):
     b0 = rng.normal(size=(1, 1, c_out))
     cot = Tensor(rng.normal(size=(batch, steps, c_out)))
     results = []
-    for op in (composed_conv_relu, T.conv1d_relu):
+    for op in (R.composed_conv_relu, T.conv1d_relu):
         x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
         out = op(x, w, b)
         backward(T.tsum(out * cot))
@@ -526,7 +515,7 @@ def test_conv1d_relu_winograd_matches_composed_graph(batch, steps, c_in, c_out, 
     arrays = [rng.normal(size=s) for s in ((batch, steps, c_in), (5, c_in, c_out), (1, 1, c_out))]
     cot = Tensor(rng.normal(size=(batch, steps, c_out)))
     results = []
-    for op in (composed_conv_relu, T.conv1d_relu):
+    for op in (R.composed_conv_relu, T.conv1d_relu):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         out = op(*leaves)
         backward(T.tsum(out * cot))
